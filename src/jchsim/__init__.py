@@ -22,7 +22,7 @@ from .entanglement import (
 )
 from .experiments import ExperimentSpec, run_fig2, run_fig3, run_fig4, run_sweep
 from .model import ModelParams, build_hamiltonian, initial_atomic_excitation, norm
-from .spectral import ModeTable, dressed_spectrum, eigenstate_vector, free_field_modes, mode_table
+from .spectral import ModeTable, eigenstate_vector, mode_table
 
 __all__ = [
     "AnalyticPropagator",
@@ -39,10 +39,8 @@ __all__ = [
     "concurrence_closed_form",
     "concurrence_map",
     "concurrence_wootters_oracle",
-    "dressed_spectrum",
     "eigenstate_vector",
     "evolve_series",
-    "free_field_modes",
     "initial_atomic_excitation",
     "make_propagator",
     "mode_table",

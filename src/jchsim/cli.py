@@ -79,9 +79,8 @@ def _load_config(args) -> RunConfig:
         cfg = jio.parse_config(Path(args.config).read_text(encoding="utf-8"))
     else:
         cfg = RunConfig()
-    for flag, key in (("method", "method"), ("samples", "samples"),
-                      ("t_max", "t_max"), ("scale_max", "scale_max")):
-        value = getattr(args, flag, None)
+    for key in ("method", "samples", "t_max", "scale_max"):
+        value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
     try:
@@ -93,6 +92,9 @@ def _load_config(args) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     if args.out is not None:
         cfg.out = str(args.out)
+    if cfg.n == 0 and args.command in ("modes", "evolve", "sweep"):
+        raise ConfigError("missing required key 'n'")
+    jio.validate(cfg, {})
     return cfg
 
 
@@ -118,10 +120,20 @@ def _series_artifacts(series, out, stem, title):
     _wrote(svg_path)
 
 
+def _spec(cfg, name, g) -> ExperimentSpec:
+    """The evolve/sweep run of the config at coupling g."""
+    return ExperimentSpec(
+        name=name,
+        params=RunConfig(**{**cfg.__dict__, "g": g}).model_params(),
+        x0=cfg.x0 if cfg.x0 is not None else center_site(cfg.n),
+        grid=TimeGrid(cfg.t_start, cfg.t_max, cfg.samples),
+        method=cfg.method,
+        pairs=tuple(cfg.pairs),
+    )
+
+
 def _cmd_modes(args):
     cfg = _load_config(args)
-    if cfg.n == 0:
-        raise ConfigError("missing required key 'n'")
     out = _outdir(cfg)
     path = out / "modes.csv"
     jio.write_modes_csv(mode_table(cfg.model_params()), path)
@@ -131,18 +143,7 @@ def _cmd_modes(args):
 
 def _cmd_evolve(args):
     cfg = _load_config(args)
-    if cfg.n == 0:
-        raise ConfigError("missing required key 'n'")
-    params = cfg.model_params()
-    spec = ExperimentSpec(
-        name="evolve",
-        params=params,
-        x0=cfg.x0 if cfg.x0 is not None else center_site(cfg.n),
-        grid=TimeGrid(cfg.t_start, cfg.t_max, cfg.samples),
-        method=cfg.method,
-        pairs=tuple(cfg.pairs),
-    )
-    series = compute_series(spec)
+    series = compute_series(_spec(cfg, "evolve", cfg.g))
     _series_artifacts(series, _outdir(cfg), "evolve",
                       f"N={cfg.n}, g={cfg.g:g}J, method={cfg.method}")
     return 0
@@ -187,23 +188,10 @@ def _cmd_fig4(args):
 
 def _cmd_sweep(args):
     cfg = _load_config(args)
-    if cfg.n == 0:
-        raise ConfigError("missing required key 'n'")
     if not cfg.g_list:
         raise ConfigError("sweep needs a non-empty 'g_list' in the config")
     out = _outdir(cfg)
-    specs = []
-    for g in cfg.g_list:
-        params = jio.RunConfig(**{**cfg.__dict__, "g": g}).model_params()
-        specs.append(ExperimentSpec(
-            name=f"g{g:g}",
-            params=params,
-            x0=cfg.x0 if cfg.x0 is not None else center_site(cfg.n),
-            grid=TimeGrid(cfg.t_start, cfg.t_max, cfg.samples),
-            method=cfg.method,
-            pairs=tuple(cfg.pairs),
-        ))
-    outcomes = run_sweep(specs)
+    outcomes = run_sweep([_spec(cfg, f"g{g:g}", g) for g in cfg.g_list])
     summary_path = out / "sweep_summary.csv"
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("g_over_j,max_entropy,max_pi_f,status\n")

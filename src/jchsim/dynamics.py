@@ -1,22 +1,24 @@
 """Time evolution in the single-excitation sector.
 
-Four propagators are provided:
+Four propagators are provided; the first three are one ModePropagator
+(sine modes, a 2x2 unitary per mode, back to sites) that differ in its table:
 
 * AnalyticPropagator -- exact, via the 2x2 dressed blocks of the normal-mode
   decomposition; valid in every coupling regime.
-* DenseOraclePropagator -- exact, via a full Jacobi eigendecomposition of the
-  Hamiltonian matrix; shares no formulas with the analytic path and accepts
-  arbitrary symmetric photon-hopping matrices.
 * WeakCouplingPropagator -- resonant-mode approximation (one mode dressed,
   the rest frozen); meaningful when g is small against all other detunings.
 * StrongCouplingPropagator -- decoupled polariton chains; meaningful when g
   dominates the free-field bandwidth and the atomic frequency.
+* DenseOraclePropagator -- exact, via a full Jacobi eigendecomposition of the
+  Hamiltonian matrix; shares no formulas with the analytic path beyond
+  ``evolution_phases`` and accepts arbitrary symmetric photon-hopping matrices.
 
 All propagators are immutable after construction and expose
-``evolve(state, t)``; the exact ones are unitary to machine precision.
+``evolve(state, t)``: shape (2N,) for a scalar t, (len(t), 2N) for an array
+of times.  The exact ones are unitary to machine precision.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,30 +53,41 @@ def _split(state, n):
     return state[:n], state[n:]
 
 
-class AnalyticPropagator:
-    """Exact evolution through the per-mode 2x2 dressed blocks."""
+class ModePropagator:
+    """Evolution through the sine modes, one 2x2 unitary per mode.
 
-    method = "analytic"
+    Mode amplitudes (a, b) go into branches p_pm = a_pm a + b_pm b turning at
+    eps_pm; ``table`` gives the (a_pm, b_pm, eps_pm) that a subclass applies.
+    """
 
     def __init__(self, params: ModelParams, modes: ModeTable | None = None):
         self.params = params
-        self.modes = modes if modes is not None and modes.is_dressed else mode_table(params)
+        self.modes = self.table(modes if modes is not None else mode_table(params))
 
-    def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
-        return self.evolve_batch(state, np.array([t]))[0]
+    def table(self, modes: ModeTable) -> ModeTable:
+        """The per-mode blocks this propagator applies; the exact dressed ones here."""
+        return modes
 
-    def evolve_batch(self, state: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """States at several absolute times, shape (len(times), 2N)."""
+    def evolve(self, state: np.ndarray, t) -> np.ndarray:
+        """State at time t, shape (2N,); for an array of times, shape (len(t), 2N)."""
         m = self.modes
+        times = np.atleast_1d(t)
         cf, ca = _split(state, self.params.n_cavities)
         a = m.vectors @ cf
         b = m.vectors @ ca
-        # dressed coordinates per mode, evolved by their eigenphases
+        # branch coordinates per mode, evolved by their eigenphases
         p_plus = (m.a_plus * a + m.b_plus * b) * evolution_phases(m.eps_plus, times)
         p_minus = (m.a_minus * a + m.b_minus * b) * evolution_phases(m.eps_minus, times)
         a_t = m.a_plus * p_plus + m.a_minus * p_minus
         b_t = m.b_plus * p_plus + m.b_minus * p_minus
-        return np.concatenate([a_t @ m.vectors, b_t @ m.vectors], axis=1)
+        states = np.concatenate([a_t @ m.vectors, b_t @ m.vectors], axis=1)
+        return states[0] if np.ndim(t) == 0 else states
+
+
+class AnalyticPropagator(ModePropagator):
+    """Exact evolution through the per-mode 2x2 dressed blocks."""
+
+    method = "analytic"
 
 
 class DenseOraclePropagator:
@@ -85,13 +98,14 @@ class DenseOraclePropagator:
     def __init__(self, hamiltonian: np.ndarray):
         self.eigenvalues, self.eigenvectors = jacobi_eigh(hamiltonian)
 
-    def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
+    def evolve(self, state: np.ndarray, t) -> np.ndarray:
+        """State at time t, shape (2N,); for an array of times, shape (len(t), 2N)."""
         u = self.eigenvectors
         coeffs = u.T @ np.asarray(state, dtype=complex)
-        return u @ (evolution_phases(self.eigenvalues, t) * coeffs)
+        return (evolution_phases(self.eigenvalues, t) * coeffs) @ u.T
 
 
-class WeakCouplingPropagator:
+class WeakCouplingPropagator(ModePropagator):
     """Effective evolution with a single dressed mode, all others frozen.
 
     ``validity`` is g over the smallest off-resonant detuning; the
@@ -105,31 +119,23 @@ class WeakCouplingPropagator:
         n = params.n_cavities
         if not 1 <= resonant_mode <= n:
             raise ValueError(f"resonant mode {resonant_mode} out of range [1, {n}]")
-        self.params = params
-        self.modes = modes if modes is not None and modes.is_dressed else mode_table(params)
         self.resonant_mode = resonant_mode
+        super().__init__(params, modes)
         others = np.abs(np.delete(self.modes.detunings, resonant_mode - 1))
         self.validity = float(params.coupling / others.min()) if others.min() > 0 else np.inf
 
-    def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
-        m = self.modes
-        params = self.params
-        kr = self.resonant_mode - 1
-        cf, ca = _split(state, params.n_cavities)
-        a = m.vectors @ cf
-        b = m.vectors @ ca
-        # off-resonant modes keep their bare phases
-        a_t = a * np.exp(-1j * m.frequencies * t)
-        b_t = b * np.exp(-1j * params.atom_freq * t)
+    def table(self, modes: ModeTable) -> ModeTable:
+        res = np.arange(self.params.n_cavities) == self.resonant_mode - 1
+        w_a, g, h = self.params.atom_freq, self.params.coupling, np.sqrt(0.5)
+        # off-resonant modes keep their bare phases ('+' the photon, '-' the atom);
         # the resonant block rotates at the atomic frequency and Rabi-flops
-        g = params.coupling
-        phase = np.exp(-1j * params.atom_freq * t)
-        a_t[kr] = phase * (np.cos(g * t) * a[kr] - 1j * np.sin(g * t) * b[kr])
-        b_t[kr] = phase * (np.cos(g * t) * b[kr] - 1j * np.sin(g * t) * a[kr])
-        return np.concatenate([m.vectors.T @ a_t, m.vectors.T @ b_t])
+        return replace(modes, a_plus=np.where(res, h, 1.0), b_plus=np.where(res, h, 0.0),
+                       a_minus=np.where(res, h, 0.0), b_minus=np.where(res, -h, 1.0),
+                       eps_plus=np.where(res, w_a + g, modes.frequencies),
+                       eps_minus=np.where(res, w_a - g, w_a))
 
 
-class StrongCouplingPropagator:
+class StrongCouplingPropagator(ModePropagator):
     """Effective evolution with the two polariton chains decoupled.
 
     ``validity`` is (bandwidth + atomic frequency) relative to g; small means
@@ -139,25 +145,18 @@ class StrongCouplingPropagator:
     method = "strong"
 
     def __init__(self, params: ModelParams, modes: ModeTable | None = None):
-        self.params = params
-        self.modes = modes if modes is not None and modes.is_dressed else mode_table(params)
+        super().__init__(params, modes)
         g = params.coupling
         self.validity = (
             float(2.0 * (2.0 * params.hopping + abs(params.atom_freq)) / g) if g > 0 else np.inf
         )
 
-    def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
-        m = self.modes
-        g = self.params.coupling
-        cf, ca = _split(state, self.params.n_cavities)
+    def table(self, modes: ModeTable) -> ModeTable:
         # polariton branches, each a chain with hopping J/2 (mode energy w_k/2)
-        p_plus = m.vectors @ ((cf + ca) / np.sqrt(2.0))
-        p_minus = m.vectors @ ((cf - ca) / np.sqrt(2.0))
-        p_plus = p_plus * np.exp(-1j * (g + m.frequencies / 2.0) * t)
-        p_minus = p_minus * np.exp(-1j * (-g + m.frequencies / 2.0) * t)
-        up = m.vectors.T @ p_plus
-        um = m.vectors.T @ p_minus
-        return np.concatenate([(up + um) / np.sqrt(2.0), (up - um) / np.sqrt(2.0)])
+        half = np.full(self.params.n_cavities, np.sqrt(0.5))
+        g = self.params.coupling
+        return replace(modes, a_plus=half, a_minus=half, b_plus=half, b_minus=-half,
+                       eps_plus=modes.frequencies / 2.0 + g, eps_minus=modes.frequencies / 2.0 - g)
 
 
 def weak_coupling_amplitudes(x0, t, modes, resonant_mode):
@@ -235,7 +234,4 @@ def evolve_series(state0: np.ndarray, grid: TimeGrid, prop) -> np.ndarray:
     Each sample is propagated independently from the t = 0 state; there is no
     accumulation across samples, so results do not depend on grid resolution.
     """
-    times = grid.times
-    if hasattr(prop, "evolve_batch"):
-        return prop.evolve_batch(state0, times)
-    return np.array([prop.evolve(state0, t) for t in times])
+    return prop.evolve(state0, grid.times)

@@ -32,11 +32,13 @@ class BipartiteEntropy:
     entropy: float
 
 
-def binary_entropy(p: float) -> float:
-    """-p log2 p - (1-p) log2 (1-p), with the 0 log 0 = 0 convention."""
-    if p <= 1e-15 or p >= 1.0 - 1e-15:
-        return 0.0
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+def binary_entropy(p):
+    """-p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0; elementwise, a float for a scalar p."""
+    p = np.asarray(p, dtype=float)
+    edge = (p <= 1e-15) | (p >= 1.0 - 1e-15)
+    q = np.where(edge, 0.5, p)
+    h = np.where(edge, 0.0, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q))
+    return float(h) if h.ndim == 0 else h
 
 
 def atomic_amplitudes(state: np.ndarray) -> np.ndarray:

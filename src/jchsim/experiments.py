@@ -7,7 +7,7 @@ no weight at x0 and nothing propagates.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,6 @@ class ExperimentSpec:
     grid: TimeGrid
     method: str = "analytic"
     pairs: tuple = ()
-    snapshot_times: tuple = ()
-    running_max: bool = False
 
     def __post_init__(self):
         if not 1 <= self.x0 <= self.params.n_cavities:
@@ -83,7 +81,7 @@ def compute_series(spec: ExperimentSpec) -> ObservableSeries:
     states = evolve_series(state0, spec.grid, prop)
     ca = entanglement.atomic_amplitudes(states)
     pi_a = np.sum(np.abs(ca) ** 2, axis=1)
-    entropy = np.array([entanglement.binary_entropy(p) for p in pi_a])
+    entropy = entanglement.binary_entropy(pi_a)
     mags = np.abs(ca)
     conc = np.empty((len(pi_a), len(spec.pairs)))
     for col, (i, j) in enumerate(spec.pairs):
@@ -155,7 +153,7 @@ def run_fig4(g_over_j: float) -> np.ndarray:
     prop = make_propagator("analytic", params)
     state0 = initial_atomic_excitation(params, x0)
     times = fig4_grid(g_over_j)
-    states = prop.evolve_batch(state0, times)
+    states = prop.evolve(state0, times)
     return entanglement.running_max_map(states)
 
 
@@ -165,8 +163,6 @@ class SweepOutcome:
 
     spec: ExperimentSpec
     series: ObservableSeries | None = None
-    snapshots: list = field(default_factory=list)
-    max_map: np.ndarray | None = None
     error: Exception | None = None
 
     @property
@@ -175,21 +171,7 @@ class SweepOutcome:
 
 
 def run_one(spec: ExperimentSpec) -> SweepOutcome:
-    outcome = SweepOutcome(spec=spec)
-    outcome.series = compute_series(spec)
-    if spec.running_max or spec.snapshot_times:
-        params = spec.params
-        prop = make_propagator(spec.method, params, resonant_mode=center_site(params.n_cavities))
-        state0 = initial_atomic_excitation(params, spec.x0)
-        if spec.running_max:
-            states = evolve_series(state0, spec.grid, prop)
-            outcome.max_map = entanglement.running_max_map(states)
-        for t in spec.snapshot_times:
-            state = prop.evolve(state0, t)
-            outcome.snapshots.append(
-                SnapshotMap(time=t, values=entanglement.concurrence_map(state))
-            )
-    return outcome
+    return SweepOutcome(spec=spec, series=compute_series(spec))
 
 
 def run_sweep(specs) -> list[SweepOutcome]:

@@ -44,6 +44,8 @@ class RunConfig:
 
 
 _METHODS = ("analytic", "dense", "weak", "strong")
+_FLOATS = ("j", "g", "omega_c", "omega_a", "t_start", "t_max", "scale_max")
+_FLOAT_LISTS = ("snapshot_times", "g_list")
 
 
 def parse_pairs(text: str) -> list:
@@ -60,7 +62,7 @@ def parse_pairs(text: str) -> list:
 def _parse_value(key, raw):
     if key in ("n", "x0", "samples"):
         return int(raw)
-    if key in ("j", "g", "omega_c", "omega_a", "t_start", "t_max", "scale_max"):
+    if key in _FLOATS:
         return float(raw)
     if key == "method":
         if raw not in _METHODS:
@@ -68,7 +70,7 @@ def _parse_value(key, raw):
         return raw
     if key == "pairs":
         return parse_pairs(raw)
-    if key in ("snapshot_times", "g_list"):
+    if key in _FLOAT_LISTS:
         return [float(x) for x in raw.split(",")]
     if key == "out":
         return raw
@@ -100,18 +102,25 @@ def parse_config(text: str) -> RunConfig:
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         lines_by_key[key] = lineno
-    _validate(cfg, lines_by_key)
+    if cfg.n == 0:
+        raise ConfigError("missing required key 'n'")
+    validate(cfg, lines_by_key)
     return cfg
 
 
-def _validate(cfg: RunConfig, lines_by_key):
+def validate(cfg: RunConfig, lines_by_key):
+    """Raise ConfigError at the first bad value, citing its line from ``lines_by_key``.
+
+    n = 0 stands for an unset size: the presets fix their own.
+    """
     def fail(key, message):
         where = f"line {lines_by_key[key]}: " if key in lines_by_key else ""
         raise ConfigError(where + message)
 
-    if cfg.n == 0:
-        raise ConfigError("missing required key 'n'")
-    if cfg.n < 2:
+    for key in _FLOATS + _FLOAT_LISTS:
+        if not np.all(np.isfinite(getattr(cfg, key))):
+            fail(key, f"{key} must be finite, got {getattr(cfg, key)}")
+    if cfg.n != 0 and cfg.n < 2:
         fail("n", f"n must be >= 2, got {cfg.n}")
     if cfg.j <= 0:
         fail("j", f"j must be > 0, got {cfg.j}")

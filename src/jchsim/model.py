@@ -31,6 +31,9 @@ class ModelParams:
     def __post_init__(self):
         if int(self.n_cavities) != self.n_cavities or self.n_cavities < 2:
             raise ValueError(f"n_cavities must be an integer >= 2, got {self.n_cavities}")
+        for name in ("hopping", "coupling", "cavity_freq", "atom_freq"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.hopping > 0:
             raise ValueError(f"hopping must be > 0, got {self.hopping}")
         if self.coupling < 0:

@@ -4,9 +4,11 @@ For a uniform open chain the photon normal modes are standing waves
 v_{k,x} = sqrt(2/(N+1)) sin(kx) with k = pi*m/(N+1), m = 1..N, at frequencies
 omega_k = omega_c - 2J cos(k).  Each mode hybridizes with its atomic
 counterpart through a 2x2 block, giving two dressed branches per mode.
+:func:`mode_table` returns the modes and their branches as one ``ModeTable``,
+the table that the mode-basis propagators of :mod:`jchsim.dynamics` apply.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,47 +17,40 @@ from .model import ModelParams
 
 @dataclass(frozen=True)
 class ModeTable:
-    """Normal modes plus (optionally) their dressed-state quantities.
+    """Normal modes plus the 2x2 block of each mode.
 
-    ``vectors[m-1, x-1]`` holds v_{k,x}.  The dressed fields are ``None``
-    until filled by :func:`dressed_spectrum`.
+    ``vectors[m-1, x-1]`` holds v_{k,x}.  Branch '+' or '-' of mode m has
+    photon weight ``a_plus``/``a_minus``, atomic weight ``b_plus``/``b_minus``
+    and energy ``eps_plus``/``eps_minus`` at index m-1.
     """
 
     params: ModelParams
     momenta: np.ndarray
     frequencies: np.ndarray
     vectors: np.ndarray
-    detunings: np.ndarray | None = None
-    rabi: np.ndarray | None = None
-    a_plus: np.ndarray | None = None
-    a_minus: np.ndarray | None = None
-    b_plus: np.ndarray | None = None
-    b_minus: np.ndarray | None = None
-    eps_plus: np.ndarray | None = None
-    eps_minus: np.ndarray | None = None
-
-    @property
-    def is_dressed(self) -> bool:
-        return self.detunings is not None
+    detunings: np.ndarray
+    rabi: np.ndarray
+    a_plus: np.ndarray
+    a_minus: np.ndarray
+    b_plus: np.ndarray
+    b_minus: np.ndarray
+    eps_plus: np.ndarray
+    eps_minus: np.ndarray
 
 
-def free_field_modes(params: ModelParams) -> ModeTable:
-    """Closed-form normal modes of the open uniform chain (modes only)."""
+def mode_table(params: ModelParams) -> ModeTable:
+    """Closed-form normal modes of the open uniform chain and their dressed spectrum."""
     n = params.n_cavities
     m = np.arange(1, n + 1)
     k = np.pi * m / (n + 1)
     x = np.arange(1, n + 1)
     vectors = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, x))
     frequencies = params.cavity_freq - 2.0 * params.hopping * np.cos(k)
-    return ModeTable(params=params, momenta=k, frequencies=frequencies, vectors=vectors)
 
-
-def dressed_spectrum(params: ModelParams, modes: ModeTable) -> ModeTable:
-    """Fill the per-mode dressed quantities (detuning, Rabi, amplitudes, energies)."""
     g = params.coupling
-    delta = params.atom_freq - modes.frequencies
+    delta = params.atom_freq - frequencies
     rabi = np.hypot(delta, 2.0 * g)
-    mean = 0.5 * (params.atom_freq + modes.frequencies)
+    mean = 0.5 * (params.atom_freq + frequencies)
     eps_plus = mean + 0.5 * rabi
     eps_minus = mean - 0.5 * rabi
 
@@ -79,8 +74,11 @@ def dressed_spectrum(params: ModelParams, modes: ModeTable) -> ModeTable:
 
     a_plus, b_plus = branch(+1.0)
     a_minus, b_minus = branch(-1.0)
-    return replace(
-        modes,
+    return ModeTable(
+        params=params,
+        momenta=k,
+        frequencies=frequencies,
+        vectors=vectors,
         detunings=delta,
         rabi=rabi,
         a_plus=a_plus,
@@ -92,15 +90,8 @@ def dressed_spectrum(params: ModelParams, modes: ModeTable) -> ModeTable:
     )
 
 
-def mode_table(params: ModelParams) -> ModeTable:
-    """Convenience: free-field modes with dressed quantities filled in."""
-    return dressed_spectrum(params, free_field_modes(params))
-
-
 def eigenstate_vector(modes: ModeTable, m: int, branch: str) -> np.ndarray:
     """Full 2N eigenvector of mode m (1-based) on branch '+' or '-'."""
-    if not modes.is_dressed:
-        raise ValueError("mode table has no dressed quantities; call dressed_spectrum first")
     if branch == "+":
         a, b = modes.a_plus[m - 1], modes.b_plus[m - 1]
     elif branch == "-":

@@ -121,7 +121,7 @@ def test_criterion_4_weak_return_envelope():
     prop = AnalyticPropagator(params)
     state0 = initial_atomic_excitation(params, 21)
     times = np.linspace(0.0, 2 * np.pi / g, 2048)
-    states = prop.evolve_batch(state0, times)
+    states = prop.evolve(state0, times)
     pi_a = np.sum(np.abs(states[:, 41:]) ** 2, axis=1)
     dev = np.abs(pi_a - (1.0 - np.sin(g * times) ** 2 / 21.0)).max()
     elapsed = time.perf_counter() - start

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from jchsim import io
 from jchsim.cli import cli_main
@@ -31,6 +32,36 @@ def test_bad_pairs_flag_is_config_error(tmp_path, capsys):
     code = cli_main(["evolve", "--config", str(cfg), "--out", str(tmp_path),
                      "--pairs", "nonsense"])
     assert code == 2
+
+
+@pytest.mark.parametrize("line", ["g = nan", "t_max = inf"])
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 11\n{line}\n")
+    out = tmp_path / "r"
+    assert cli_main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not (out / "evolve_series.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["evolve", "--pairs", "0:5"],
+    ["evolve", "--pairs", "4:4"],
+    ["evolve", "--pairs", "3:40"],
+    ["evolve", "--t-max", "nan"],
+    ["evolve", "--t-max", "inf"],
+    ["evolve", "--samples", "1"],
+    ["evolve", "--t-max", "-3"],
+    ["sweep", "--samples", "1"],
+    ["fig4", "--g-over-j", "10", "--scale-max", "nan"],
+], ids=" ".join)
+def test_bad_flag_override_is_config_error(tmp_path, capsys, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 11\ng = 0.5\ng_list = 0.1\n")
+    out = tmp_path / "r"
+    assert cli_main([flags[0], "--config", str(cfg), "--out", str(out), *flags[1:]]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unwritable_out_is_runtime_error(tmp_path, capsys):

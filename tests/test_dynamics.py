@@ -193,7 +193,7 @@ def test_weak_regime_return_envelope():
     state0 = initial_atomic_excitation(params, 21)
     g = params.coupling
     times = np.linspace(0.0, 2 * np.pi / g, 257)
-    states = prop.evolve_batch(state0, times)
+    states = prop.evolve(state0, times)
     pi_a = np.sum(np.abs(states[:, 41:]) ** 2, axis=1)
     model = 1.0 - np.sin(g * times) ** 2 / 21.0
     assert np.abs(pi_a - model).max() <= 1e-3
@@ -205,7 +205,7 @@ def test_strong_regime_return_envelope():
     state0 = initial_atomic_excitation(params, 21)
     g = params.coupling
     times = np.linspace(0.0, 20 * np.pi / g, 513)
-    states = prop.evolve_batch(state0, times)
+    states = prop.evolve(state0, times)
     pi_a = np.sum(np.abs(states[:, 41:]) ** 2, axis=1)
     assert np.abs(pi_a - np.cos(g * times) ** 2).max() <= 5e-3
 
@@ -266,3 +266,18 @@ def test_make_propagator_dispatch():
     assert make_propagator("strong", params).method == "strong"
     with pytest.raises(ValueError):
         make_propagator("magic", params)
+
+
+@pytest.mark.parametrize("method", ["analytic", "dense", "weak", "strong"])
+def test_evolve_scalar_and_array_times(method):
+    params = ModelParams(9, coupling=0.6, atom_freq=0.2)
+    prop = make_propagator(method, params)
+    state0 = initial_atomic_excitation(params, 4)
+    times = np.array([0.0, 0.7, 3.1, 12.5, 40.0])
+    states = prop.evolve(state0, times)
+    assert states.shape == (len(times), 18)
+    for t, row in zip(times, states):
+        single = prop.evolve(state0, float(t))
+        assert single.shape == (18,)
+        assert np.abs(row - single).max() <= 1e-13
+    assert np.abs(states[0] - state0).max() <= 1e-12

@@ -26,6 +26,17 @@ def test_binary_entropy_endpoints():
     assert abs(binary_entropy(0.25) - (2.0 - 0.75 * np.log2(3.0))) <= 1e-14
 
 
+def test_binary_entropy_array_matches_scalar_formula():
+    p = np.concatenate([[0.0, 1e-16, 1e-15, 0.5, 1.0 - 1e-15, 1.0],
+                        np.random.default_rng(3).uniform(0.0, 1.0, 1000)])
+    expected = [0.0 if q <= 1e-15 or q >= 1.0 - 1e-15
+                else -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q) for q in p]
+    h = binary_entropy(p)
+    assert h.shape == p.shape
+    assert np.array_equal(h, expected)
+    assert isinstance(binary_entropy(0.3), float)
+
+
 def test_entropy_of_initial_excitation():
     params = ModelParams(9, coupling=0.3)
     ent = atom_field_entropy(initial_atomic_excitation(params, 4))
@@ -178,7 +189,7 @@ def test_strong_regime_entropy_peak_times():
     state0 = initial_atomic_excitation(params, 21)
     g = params.coupling
     times = np.linspace(0.0, 2 * np.pi / g, 513)
-    states = prop.evolve_batch(state0, times)
+    states = prop.evolve(state0, times)
     pi_a = np.sum(np.abs(states[:, 41:]) ** 2, axis=1)
     entropy = np.array([binary_entropy(p) for p in pi_a])
     peaks = [

@@ -12,7 +12,6 @@ from jchsim.experiments import (
     fig4_grid,
     run_fig3,
     run_fig4,
-    run_one,
     run_sweep,
 )
 from jchsim.model import ModelParams
@@ -128,24 +127,6 @@ def test_run_sweep_captures_failures():
     assert outcomes[0].ok
     assert not outcomes[1].ok
     assert isinstance(outcomes[1].error, ValueError)
-
-
-def test_run_one_snapshot_and_max_map():
-    spec = ExperimentSpec(
-        name="snap",
-        params=ModelParams(9, coupling=0.5),
-        x0=5,
-        grid=TimeGrid(0.0, 10.0, 32),
-        snapshot_times=(3.0,),
-        running_max=True,
-    )
-    outcome = run_one(spec)
-    assert outcome.ok
-    assert len(outcome.snapshots) == 1
-    assert outcome.snapshots[0].values.shape == (9, 9)
-    assert outcome.max_map is not None
-    assert np.array_equal(outcome.max_map, outcome.max_map.T)
-    assert outcome.max_map.min() >= 0.0
 
 
 def test_sweep_entropy_trend_across_coupling():

@@ -22,6 +22,13 @@ def test_params_validation():
         ModelParams(n_cavities=5, coupling=-0.1)
 
 
+@pytest.mark.parametrize("field", ["hopping", "coupling", "cavity_freq", "atom_freq"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams(n_cavities=5, **{field: value})
+
+
 def test_flat_index_layout():
     assert flat_index(PHOTON, 1, 4) == 0
     assert flat_index(PHOTON, 4, 4) == 3

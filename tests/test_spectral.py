@@ -3,29 +3,29 @@ import pytest
 
 from jchsim.linalg import jacobi_eigh
 from jchsim.model import ModelParams, build_hamiltonian
-from jchsim.spectral import dressed_spectrum, eigenstate_vector, free_field_modes, mode_table
+from jchsim.spectral import eigenstate_vector, mode_table
 
 
 def test_band_center_mode():
-    modes = free_field_modes(ModelParams(41))
+    modes = mode_table(ModelParams(41))
     assert abs(modes.frequencies[20]) <= 1e-14
     assert abs(modes.vectors[20, 20] ** 2 - 1.0 / 21.0) <= 1e-14
 
 
 def test_mode_normalization():
-    modes = free_field_modes(ModelParams(17))
+    modes = mode_table(ModelParams(17))
     norms = np.sum(modes.vectors**2, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-12
 
 
 def test_even_mode_vanishes_at_center():
     # even m has a node at the center site
-    modes = free_field_modes(ModelParams(41))
+    modes = mode_table(ModelParams(41))
     assert abs(modes.vectors[1, 20]) <= 1e-14
 
 
 def test_orthonormality_and_completeness():
-    modes = free_field_modes(ModelParams(23))
+    modes = mode_table(ModelParams(23))
     gram = modes.vectors @ modes.vectors.T
     assert np.abs(gram - np.eye(23)).max() <= 1e-12
     # completeness: sum_k v_{k,x} v_{k,x0} = delta_{x,x0}
@@ -35,7 +35,7 @@ def test_orthonormality_and_completeness():
 
 def test_frequencies_strictly_increasing():
     for n in (2, 5, 64):
-        modes = free_field_modes(ModelParams(n))
+        modes = mode_table(ModelParams(n))
         assert np.all(np.diff(modes.frequencies) > 0)
 
 
@@ -95,11 +95,9 @@ def test_eigenstate_orthogonality():
 
 
 def test_eigenstate_vector_validation():
-    modes = free_field_modes(ModelParams(5, coupling=0.3))
+    modes = mode_table(ModelParams(5, coupling=0.3))
     with pytest.raises(ValueError):
-        eigenstate_vector(modes, 1, "+")
-    with pytest.raises(ValueError):
-        eigenstate_vector(dressed_spectrum(modes.params, modes), 1, "x")
+        eigenstate_vector(modes, 1, "x")
 
 
 @pytest.mark.parametrize("n", [3, 16, 41, 64])
