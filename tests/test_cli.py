@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import svg_reference
 from jchsim import io
 from jchsim.cli import cli_main
 
@@ -124,11 +127,36 @@ def test_fig3_artifacts(tmp_path):
     assert np.array_equal(values, values.T)
 
 
+def _assert_svg_matches_etree_reference(stem, title, tmp_path):
+    """The CLI's heatmap SVG equals the ElementTree reference's rendering of
+    the map CSV written beside it (17 digits round-trip the values exactly)."""
+    values = io.read_map_csv(f"{stem}.csv")
+    rewritten = tmp_path / "rewritten.csv"
+    io.write_map_csv(values, rewritten)
+    assert rewritten.read_bytes() == Path(f"{stem}.csv").read_bytes()
+    reference = tmp_path / "reference.svg"
+    svg_reference.render_heatmap_svg(values, reference, scale_max=0.25, title=title)
+    assert reference.read_bytes() == Path(f"{stem}.svg").read_bytes()
+
+
+def test_fig3_default_maps_match_etree_reference(tmp_path):
+    out = tmp_path / "out"
+    assert cli_main(["fig3", "--out", str(out)]) == 0
+    stems = sorted(path.parent / path.stem for path in out.glob("fig3_t*_map.csv"))
+    assert len(stems) == 3
+    for stem in stems:
+        time = stem.name[len("fig3_t"):-len("_map")]
+        _assert_svg_matches_etree_reference(stem, f"C_ij at tJ = {time}", tmp_path)
+
+
 def test_fig4_artifacts(tmp_path):
-    assert cli_main(["fig4", "--g-over-j", "10", "--out", str(tmp_path)]) == 0
-    values = io.read_map_csv(tmp_path / "fig4_g10_maxmap.csv")
+    out = tmp_path / "out"
+    assert cli_main(["fig4", "--g-over-j", "10", "--out", str(out)]) == 0
+    values = io.read_map_csv(out / "fig4_g10_maxmap.csv")
     assert values.shape == (201, 201)
-    assert (tmp_path / "fig4_g10_maxmap.svg").exists()
+    assert (out / "fig4_g10_maxmap.svg").exists()
+    _assert_svg_matches_etree_reference(out / "fig4_g10_maxmap",
+                                        "max C_ij, g = 10 J, tJ in [0, 90]", tmp_path)
 
 
 def test_sweep_artifacts(tmp_path):
