@@ -1,16 +1,17 @@
 """Command-line interface.
 
 Subcommands: modes, evolve, fig2, fig3, fig4, sweep.  Parameters come from a
-flat key=value config file (--config); command-line flags override config
-values.  Artifacts (CSV, SVG) are written into --out with one summary line
-printed per file.
+flat key=value config file (--config); a flag is a config key given on the
+command line, parsed by the same parser, and it wins over the file.
+Artifacts (CSV, SVG) are written into --out with one summary line printed
+per file.
 
 Exit codes: 0 success, 1 usage error, 2 config error, 3 runtime/numerical
 error.
 """
 
 import argparse
-import math
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .experiments import (
     run_fig4,
     run_sweep,
 )
-from .io import ConfigError, RunConfig
+from .io import ConfigError
 from .linalg import ConvergenceError
 from .spectral import mode_table
 
@@ -40,62 +41,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_HELP = {
+    "out": "output directory",
+    "method": "propagator: analytic, dense, weak or strong",
+    "samples": "number of time samples",
+    "t_max": "end of the time grid, units 1/J",
+    "pairs": "concurrence channels, i:j[,i:j...]",
+    "snapshot_times": "comma-separated times, units 1/J",
+    "g": "atom-cavity coupling g, units J (> 0)",
+    "scale_max": "concurrence at the top of the colour bar",
+}
+
+
+def _flag(key) -> str:
+    return "--g-over-j" if key == "g" else "--" + key.replace("_", "-")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="jchsim", description=__doc__.split("\n")[1])
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, help_text):
+    for name, (_, help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, help="key=value config file")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
-        return p
-
-    add("modes", "dump the normal-mode/dressed-spectrum table as CSV")
-
-    p = add("evolve", "evolve an initial atomic excitation and record observables")
-    p.add_argument("--method", choices=("analytic", "dense", "weak", "strong"))
-    p.add_argument("--samples", type=int)
-    p.add_argument("--t-max", type=float, help="end of the time grid, units 1/J")
-    p.add_argument("--pairs", type=str, help="concurrence channels, i:j[,i:j...]")
-
-    add("fig2", "weak-coupling entropy and concurrence series (N=41 preset)")
-
-    p = add("fig3", "strong-coupling concurrence snapshots (N=101 preset)")
-    p.add_argument("--snapshot-times", type=str, help="comma-separated times, units 1/J")
-
-    p = add("fig4", "running-max concurrence map (N=201 preset)")
-    p.add_argument("--g-over-j", type=float, required=True)
-    p.add_argument("--scale-max", type=float, default=0.25)
-
-    p = add("sweep", "batch of observable series over the config's g_list")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--t-max", type=float)
-    p.add_argument("--pairs", type=str)
+        for key in ("out", *keys):
+            p.add_argument(_flag(key), dest=key, required=key == "g", help=_HELP[key])
     return parser
-
-
-def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None) is not None:
-        cfg = jio.parse_config(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        cfg = RunConfig()
-    for key in ("method", "samples", "t_max", "scale_max"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    try:
-        if getattr(args, "pairs", None) is not None:
-            cfg.pairs = jio.parse_pairs(args.pairs)
-        if getattr(args, "snapshot_times", None) is not None:
-            cfg.snapshot_times = [float(x) for x in args.snapshot_times.split(",")]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if args.out is not None:
-        cfg.out = str(args.out)
-    if cfg.n == 0 and args.command in ("modes", "evolve", "sweep"):
-        raise ConfigError("missing required key 'n'")
-    jio.validate(cfg, {})
-    return cfg
 
 
 def _outdir(cfg) -> Path:
@@ -124,7 +94,7 @@ def _spec(cfg, name, g) -> ExperimentSpec:
     """The evolve/sweep run of the config at coupling g."""
     return ExperimentSpec(
         name=name,
-        params=RunConfig(**{**cfg.__dict__, "g": g}).model_params(),
+        params=dataclasses.replace(cfg.model_params(), coupling=g),
         x0=cfg.x0 if cfg.x0 is not None else center_site(cfg.n),
         grid=TimeGrid(cfg.t_start, cfg.t_max, cfg.samples),
         method=cfg.method,
@@ -132,34 +102,30 @@ def _spec(cfg, name, g) -> ExperimentSpec:
     )
 
 
-def _cmd_modes(args):
-    cfg = _load_config(args)
-    out = _outdir(cfg)
-    path = out / "modes.csv"
-    jio.write_modes_csv(mode_table(cfg.model_params()), path)
+def _cmd_modes(cfg):
+    modes = mode_table(cfg.model_params())
+    path = _outdir(cfg) / "modes.csv"
+    jio.write_modes_csv(modes, path)
     _wrote(path)
     return 0
 
 
-def _cmd_evolve(args):
-    cfg = _load_config(args)
+def _cmd_evolve(cfg):
     series = compute_series(_spec(cfg, "evolve", cfg.g))
     _series_artifacts(series, _outdir(cfg), "evolve",
                       f"N={cfg.n}, g={cfg.g:g}J, method={cfg.method}")
     return 0
 
 
-def _cmd_fig2(args):
-    cfg = _load_config(args)
+def _cmd_fig2(cfg):
     series = run_fig2()
     _series_artifacts(series, _outdir(cfg), "fig2", "N=41, g=1e-3 J, x0=21")
     return 0
 
 
-def _cmd_fig3(args):
-    cfg = _load_config(args)
-    out = _outdir(cfg)
+def _cmd_fig3(cfg):
     snapshots = run_fig3(cfg.snapshot_times or None)
+    out = _outdir(cfg)
     for snap in snapshots:
         if snap.off_resonant:
             print(f"warning: t = {snap.time:g}/J is not a multiple of pi/g; "
@@ -173,25 +139,24 @@ def _cmd_fig3(args):
     return 0
 
 
-def _cmd_fig4(args):
-    cfg = _load_config(args)
-    out = _outdir(cfg)
-    cmap = run_fig4(args.g_over_j)
-    stem = out / f"fig4_g{args.g_over_j:g}_maxmap"
+def _cmd_fig4(cfg):
+    if cfg.g <= 0:
+        raise ConfigError(f"--g-over-j: the coupling must be > 0, got {cfg.g:g}")
+    cmap = run_fig4(cfg.g)
+    stem = _outdir(cfg) / f"fig4_g{cfg.g:g}_maxmap"
     jio.write_map_csv(cmap, f"{stem}.csv")
     _wrote(f"{stem}.csv")
     svg.render_heatmap_svg(cmap, f"{stem}.svg", scale_max=cfg.scale_max,
-                           title=f"max C_ij, g = {args.g_over_j:g} J, tJ in [0, 90]")
+                           title=f"max C_ij, g = {cfg.g:g} J, tJ in [0, 90]")
     _wrote(f"{stem}.svg")
     return 0
 
 
-def _cmd_sweep(args):
-    cfg = _load_config(args)
+def _cmd_sweep(cfg):
     if not cfg.g_list:
         raise ConfigError("sweep needs a non-empty 'g_list' in the config")
-    out = _outdir(cfg)
     outcomes = run_sweep([_spec(cfg, f"g{g:g}", g) for g in cfg.g_list])
+    out = _outdir(cfg)
     summary_path = out / "sweep_summary.csv"
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("g_over_j,max_entropy,max_pi_f,status\n")
@@ -210,13 +175,17 @@ def _cmd_sweep(args):
     return 0 if all(o.ok for o in outcomes) else 3
 
 
+# subcommand -> (runner, help, config keys it accepts as flags besides --out)
 _COMMANDS = {
-    "modes": _cmd_modes,
-    "evolve": _cmd_evolve,
-    "fig2": _cmd_fig2,
-    "fig3": _cmd_fig3,
-    "fig4": _cmd_fig4,
-    "sweep": _cmd_sweep,
+    "modes": (_cmd_modes, "dump the normal-mode/dressed-spectrum table as CSV", ()),
+    "evolve": (_cmd_evolve, "evolve an initial atomic excitation and record observables",
+               ("method", "samples", "t_max", "pairs")),
+    "fig2": (_cmd_fig2, "weak-coupling entropy and concurrence series (N=41 preset)", ()),
+    "fig3": (_cmd_fig3, "strong-coupling concurrence snapshots (N=101 preset)",
+             ("snapshot_times",)),
+    "fig4": (_cmd_fig4, "running-max concurrence map (N=201 preset)", ("g", "scale_max")),
+    "sweep": (_cmd_sweep, "batch of observable series over the config's g_list",
+              ("samples", "t_max", "pairs")),
 }
 
 
@@ -231,8 +200,12 @@ def cli_main(argv) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
+    run, _, keys = _COMMANDS[args.command]
+    flags = [(_flag(key), key, getattr(args, key)) for key in ("out", *keys)
+             if getattr(args, key) is not None]
     try:
-        return _COMMANDS[args.command](args)
+        text = args.config.read_text(encoding="utf-8") if args.config else ""
+        return run(jio.parse_config(text, flags))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -37,6 +37,9 @@ class RunConfig:
     out: str = "."
 
     def model_params(self) -> ModelParams:
+        """The model of this config; n = 0 stands for an unset size."""
+        if self.n == 0:
+            raise ConfigError("missing required key 'n'")
         return ModelParams(
             n_cavities=self.n, hopping=self.j, coupling=self.g,
             cavity_freq=self.omega_c, atom_freq=self.omega_a,
@@ -77,15 +80,17 @@ def _parse_value(key, raw):
     raise KeyError(key)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse flat `key = value` lines ('#' comments) into a RunConfig.
+def parse_config(text: str, flags=()) -> RunConfig:
+    """Parse flat `key = value` lines ('#' comments), then ``flags``, into a RunConfig.
 
-    Unknown keys, unparsable values and constraint violations raise
-    ConfigError carrying the offending line number.
+    ``flags`` holds (source, key, raw) overrides, such as the command line's
+    ("--t-max", "t_max", "10"); they go through the same value parser as the
+    lines and win over them.  The merged result is checked once.  Unknown
+    keys, unparsable values and constraint violations raise ConfigError
+    naming the line or flag the value came from.
     """
     known = {f.name for f in fields(RunConfig)}
-    cfg = RunConfig()
-    lines_by_key = {}
+    entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -95,26 +100,28 @@ def parse_config(text: str) -> RunConfig:
         raw = raw.strip()
         if not sep or not key:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
+        entries.append((f"line {lineno}", key, raw))
+    cfg = RunConfig()
+    sources = {}
+    for source, key, raw in [*entries, *flags]:
         if key not in known:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"{source}: unknown key {key!r}")
         try:
             setattr(cfg, key, _parse_value(key, raw))
         except (ValueError, KeyError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        lines_by_key[key] = lineno
-    if cfg.n == 0:
-        raise ConfigError("missing required key 'n'")
-    validate(cfg, lines_by_key)
+            raise ConfigError(f"{source}: bad value for {key!r}: {exc}") from exc
+        sources[key] = source
+    validate(cfg, sources)
     return cfg
 
 
-def validate(cfg: RunConfig, lines_by_key):
-    """Raise ConfigError at the first bad value, citing its line from ``lines_by_key``.
+def validate(cfg: RunConfig, sources):
+    """Raise ConfigError at the first bad value, citing its source from ``sources``.
 
     n = 0 stands for an unset size: the presets fix their own.
     """
     def fail(key, message):
-        where = f"line {lines_by_key[key]}: " if key in lines_by_key else ""
+        where = f"{sources[key]}: " if key in sources else ""
         raise ConfigError(where + message)
 
     for key in _FLOATS + _FLOAT_LISTS:
@@ -137,6 +144,14 @@ def validate(cfg: RunConfig, lines_by_key):
     for i, j in cfg.pairs:
         if i == j or not (1 <= i <= cfg.n and 1 <= j <= cfg.n):
             fail("pairs", f"invalid pair {i}:{j} for n = {cfg.n}")
+    # a sweep names each coupling's file sweep_g{g:g}_series.csv
+    names = set()
+    for g in cfg.g_list:
+        if g < 0:
+            fail("g_list", f"g_list entries must be >= 0, got {g}")
+        if f"{g:g}" in names:
+            fail("g_list", f"g_list entries must differ in their file name, {g!r} gives g{g:g}")
+        names.add(f"{g:g}")
 
 
 def fmt(x) -> str:

@@ -148,13 +148,17 @@ def render_lines_svg(times, curves, path, title: str = "", ylabel: str = ""):
     """Render labelled curves over a common time axis.
 
     ``curves`` is a sequence of (label, values) with values aligned to
-    ``times``. Fewer than two samples, equal first and last times, or a
-    non-finite time or value raises ``ValueError`` before the file is opened.
+    ``times``. Fewer than two samples, a curve with not one value per time,
+    equal first and last times, or a non-finite time or value raises
+    ``ValueError`` before the file is opened.
     """
     times = np.asarray(times, dtype=float)
     if len(times) < 2:
         raise ValueError("need at least two samples to plot")
     curves = [(label, np.asarray(vals, dtype=float)) for label, vals in curves]
+    for label, vals in curves:
+        if vals.shape != times.shape:
+            raise ValueError(f"curve {label!r} has shape {vals.shape}, times {times.shape}")
     if not (np.isfinite(times).all() and all(np.isfinite(v).all() for _, v in curves)):
         raise ValueError("cannot plot non-finite times or values")
     width, height = 720.0, 420.0

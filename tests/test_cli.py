@@ -127,7 +127,7 @@ def test_fig3_artifacts(tmp_path):
     assert np.array_equal(values, values.T)
 
 
-def _assert_svg_matches_etree_reference(stem, title, tmp_path):
+def _assert_svg_matches_etree_reference(stem, title, tmp_path, scale_max=0.25):
     """The CLI's heatmap SVG equals the ElementTree reference's rendering of
     the map CSV written beside it (17 digits round-trip the values exactly)."""
     values = io.read_map_csv(f"{stem}.csv")
@@ -135,7 +135,7 @@ def _assert_svg_matches_etree_reference(stem, title, tmp_path):
     io.write_map_csv(values, rewritten)
     assert rewritten.read_bytes() == Path(f"{stem}.csv").read_bytes()
     reference = tmp_path / "reference.svg"
-    svg_reference.render_heatmap_svg(values, reference, scale_max=0.25, title=title)
+    svg_reference.render_heatmap_svg(values, reference, scale_max=scale_max, title=title)
     assert reference.read_bytes() == Path(f"{stem}.svg").read_bytes()
 
 
@@ -176,3 +176,96 @@ def test_sweep_requires_g_list(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 9\n")
     assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def _tree(root):
+    return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*"))}
+
+
+_BASE = "n = 9\ng = 0.5\nt_max = 10\nsamples = 16\n"
+_T3 = f"{2 * np.pi:.17g}"
+
+
+@pytest.mark.parametrize("command, line, flags", [
+    (["evolve"], "method = dense", ["--method", "dense"]),
+    (["evolve"], "samples = 21", ["--samples", "21"]),
+    (["evolve"], "t_max = 7.5", ["--t-max", "7.5"]),
+    (["evolve"], "pairs = 2:5,3:7", ["--pairs", "2:5,3:7"]),
+    (["fig3"], f"snapshot_times = {_T3}", ["--snapshot-times", _T3]),
+    (["fig4", "--g-over-j", "10"], "scale_max = 0.4", ["--scale-max", "0.4"]),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_key_in_file_or_flag_gives_identical_artifacts(tmp_path, command, line, flags):
+    in_file, by_flag = tmp_path / "file.cfg", tmp_path / "flag.cfg"
+    in_file.write_text(_BASE + line + "\n")
+    by_flag.write_text(_BASE)
+    assert cli_main([*command, "--config", str(in_file), "--out", str(tmp_path / "a")]) == 0
+    assert cli_main([*command, "--config", str(by_flag), "--out", str(tmp_path / "b"),
+                     *flags]) == 0
+    written = _tree(tmp_path / "a")
+    assert written and written == _tree(tmp_path / "b")
+
+
+def test_flag_wins_over_invalid_file_value(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 9\ng = 0.5\nt_max = 10\nsamples = 1\n")
+    out = tmp_path / "r"
+    assert cli_main(["evolve", "--config", str(cfg), "--out", str(out),
+                     "--samples", "21"]) == 0
+    _, data = io.read_series_csv(out / "evolve_series.csv")
+    assert data.shape[0] == 21
+
+
+@pytest.mark.parametrize("key, flag, raw", [("samples", "--samples", "abc"),
+                                            ("method", "--method", "magic")])
+@pytest.mark.parametrize("given", ["file", "flag"])
+def test_bad_value_is_config_error_from_file_or_flag(tmp_path, capsys, key, flag, raw, given):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_BASE + (f"{key} = {raw}\n" if given == "file" else ""))
+    out = tmp_path / "r"
+    extra = [flag, raw] if given == "flag" else []
+    assert cli_main(["evolve", "--config", str(cfg), "--out", str(out), *extra]) == 2
+    assert ("line 5" if given == "file" else flag) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["fig2"], ["fig3"], ["fig4", "--g-over-j", "10"]],
+                         ids=" ".join)
+def test_presets_accept_config_without_n(tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scale_max = 0.25\n")
+    assert cli_main([*command, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+
+
+def test_fig4_draws_config_scale_max(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scale_max = 0.5\n")
+    out = tmp_path / "out"
+    assert cli_main(["fig4", "--config", str(cfg), "--g-over-j", "10", "--out", str(out)]) == 0
+    _assert_svg_matches_etree_reference(out / "fig4_g10_maxmap",
+                                        "max C_ij, g = 10 J, tJ in [0, 90]", tmp_path,
+                                        scale_max=0.5)
+
+
+def test_modes_without_n_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert cli_main(["modes", "--out", str(out)]) == 2
+    assert "missing required key 'n'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("g", ["0", "-1", "nan"])
+def test_fig4_rejects_non_positive_coupling(tmp_path, capsys, g):
+    out = tmp_path / "r"
+    assert cli_main(["fig4", "--g-over-j", g, "--out", str(out)]) == 2
+    assert "config error: --g-over-j" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("g_list", ["0.1, -1", "0.001, 0.0010000001"])
+def test_sweep_rejects_bad_g_list(tmp_path, capsys, g_list):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 9\ng_list = {g_list}\nt_max = 10\nsamples = 16\n")
+    out = tmp_path / "s"
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: line 2" in capsys.readouterr().err
+    assert not out.exists()

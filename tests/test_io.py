@@ -22,7 +22,16 @@ def test_parse_config_fig2_compatible():
 
 def test_parse_config_missing_n():
     with pytest.raises(ConfigError, match="missing required key 'n'"):
-        parse_config("")
+        parse_config("").model_params()
+
+
+def test_parse_config_flags_win_and_are_cited():
+    cfg = parse_config("n = 5\nsamples = 1\n", [("--samples", "samples", "21")])
+    assert cfg.samples == 21
+    with pytest.raises(ConfigError, match="--t-max: need t_max"):
+        parse_config("n = 5\n", [("--t-max", "t_max", "-3")])
+    with pytest.raises(ConfigError, match="--samples: bad value"):
+        parse_config("n = 5\n", [("--samples", "samples", "abc")])
 
 
 def test_parse_config_bad_number():

@@ -198,3 +198,12 @@ def test_lines_svg_rejects_equal_end_times(tmp_path):
     with pytest.raises(ValueError):
         render_lines_svg(np.array([2.0, 2.0]), [("S", np.array([0.1, 0.2]))], path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("length", [3, 9])
+def test_lines_svg_rejects_misaligned_curve(tmp_path, length):
+    path = tmp_path / "x.svg"
+    with pytest.raises(ValueError, match="'Pi_a'"):
+        render_lines_svg(np.linspace(0.0, 1.0, 5),
+                         [("S", np.ones(5)), ("Pi_a", np.linspace(0.0, 0.5, length))], path)
+    assert not path.exists()
