@@ -90,6 +90,13 @@ def _series_artifacts(series, out, stem, title):
     _wrote(svg_path)
 
 
+def _map_artifacts(values, stem, scale_max, title):
+    jio.write_map_csv(values, f"{stem}.csv")
+    _wrote(f"{stem}.csv")
+    svg.render_heatmap_svg(values, f"{stem}.svg", scale_max=scale_max, title=title)
+    _wrote(f"{stem}.svg")
+
+
 def _spec(cfg, name, g) -> ExperimentSpec:
     """The evolve/sweep run of the config at coupling g."""
     return ExperimentSpec(
@@ -130,25 +137,16 @@ def _cmd_fig3(cfg):
         if snap.off_resonant:
             print(f"warning: t = {snap.time:g}/J is not a multiple of pi/g; "
                   "atomic probability < 1 reduces map contrast")
-        stem = out / f"fig3_t{snap.time:g}_map"
-        jio.write_map_csv(snap.values, f"{stem}.csv")
-        _wrote(f"{stem}.csv")
-        svg.render_heatmap_svg(snap.values, f"{stem}.svg", scale_max=cfg.scale_max,
-                               title=f"C_ij at tJ = {snap.time:g}")
-        _wrote(f"{stem}.svg")
+        _map_artifacts(snap.values, out / f"fig3_t{snap.time:g}_map", cfg.scale_max,
+                       f"C_ij at tJ = {snap.time:g}")
     return 0
 
 
 def _cmd_fig4(cfg):
     if cfg.g <= 0:
         raise ConfigError(f"--g-over-j: the coupling must be > 0, got {cfg.g:g}")
-    cmap = run_fig4(cfg.g)
-    stem = _outdir(cfg) / f"fig4_g{cfg.g:g}_maxmap"
-    jio.write_map_csv(cmap, f"{stem}.csv")
-    _wrote(f"{stem}.csv")
-    svg.render_heatmap_svg(cmap, f"{stem}.svg", scale_max=cfg.scale_max,
-                           title=f"max C_ij, g = {cfg.g:g} J, tJ in [0, 90]")
-    _wrote(f"{stem}.svg")
+    _map_artifacts(run_fig4(cfg.g), _outdir(cfg) / f"fig4_g{cfg.g:g}_maxmap", cfg.scale_max,
+                   f"max C_ij, g = {cfg.g:g} J, tJ in [0, 90]")
     return 0
 
 
@@ -157,20 +155,20 @@ def _cmd_sweep(cfg):
         raise ConfigError("sweep needs a non-empty 'g_list' in the config")
     outcomes = run_sweep([_spec(cfg, f"g{g:g}", g) for g in cfg.g_list])
     out = _outdir(cfg)
+    rows = []
+    for g, outcome in zip(cfg.g_list, outcomes):
+        if outcome.ok:
+            series = outcome.series
+            path = out / f"sweep_{outcome.spec.name}_series.csv"
+            jio.write_series_csv(series, path)
+            _wrote(path)
+            rows.append((g, series.entropy.max(), series.pi_f.max(), "ok"))
+        else:
+            print(f"error: spec g={g:g} failed: {outcome.error}", file=sys.stderr)
+            rows.append((g, float("nan"), float("nan"), "failed"))
     summary_path = out / "sweep_summary.csv"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write("g_over_j,max_entropy,max_pi_f,status\n")
-        for g, outcome in zip(cfg.g_list, outcomes):
-            if outcome.ok:
-                series = outcome.series
-                path = out / f"sweep_{outcome.spec.name}_series.csv"
-                jio.write_series_csv(series, path)
-                _wrote(path)
-                fh.write(f"{jio.fmt(g)},{jio.fmt(series.entropy.max())},"
-                         f"{jio.fmt(series.pi_f.max())},ok\n")
-            else:
-                print(f"error: spec g={g:g} failed: {outcome.error}", file=sys.stderr)
-                fh.write(f"{jio.fmt(g)},nan,nan,failed\n")
+    jio.write_csv(summary_path, ["g_over_j", "max_entropy", "max_pi_f", "status"],
+                  list(zip(*rows)))
     _wrote(summary_path)
     return 0 if all(o.ok for o in outcomes) else 3
 

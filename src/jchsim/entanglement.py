@@ -12,6 +12,8 @@ import numpy as np
 
 from .linalg import small_matrix_eigvals
 
+# rho may have eigenvalues this far below zero (rounding) and still count as PSD
+_PSD_TOL = 1e-9
 _SIGMA_YY = np.array(
     [
         [0, 0, 0, -1],
@@ -88,7 +90,7 @@ def concurrence_closed_form(state: np.ndarray, i: int, j: int) -> float:
     return float(2.0 * abs(ci) * abs(cj))
 
 
-def concurrence_wootters_oracle(rho: np.ndarray, psd_tol: float = 1e-9) -> float:
+def concurrence_wootters_oracle(rho: np.ndarray) -> float:
     """Concurrence of an arbitrary two-qubit density matrix via the spin flip.
 
     Builds rho_tilde = (sy x sy) rho* (sy x sy), finds the four eigenvalues of
@@ -100,7 +102,7 @@ def concurrence_wootters_oracle(rho: np.ndarray, psd_tol: float = 1e-9) -> float
         raise ValueError("expected a 4x4 density matrix")
     if abs(np.trace(rho) - 1.0) > 1e-8 or np.abs(rho - rho.conj().T).max() > 1e-8:
         raise ValueError("input is not a valid density matrix")
-    if np.linalg.eigvalsh(rho).min() < -psd_tol:
+    if np.linalg.eigvalsh(rho).min() < -_PSD_TOL:
         raise ValueError("density matrix is not positive semidefinite")
     rho_tilde = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
     lam = np.real(small_matrix_eigvals(rho @ rho_tilde))

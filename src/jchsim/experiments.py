@@ -29,8 +29,12 @@ class ExperimentSpec:
     pairs: tuple = ()
 
     def __post_init__(self):
-        if not 1 <= self.x0 <= self.params.n_cavities:
-            raise ValueError(f"x0 {self.x0} out of range [1, {self.params.n_cavities}]")
+        n = self.params.n_cavities
+        if not 1 <= self.x0 <= n:
+            raise ValueError(f"x0 {self.x0} out of range [1, {n}]")
+        for i, j in self.pairs:
+            if i == j or not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"pair ({i}, {j}) is not two distinct sites in [1, {n}]")
 
 
 @dataclass

@@ -118,7 +118,8 @@ def parse_config(text: str, flags=()) -> RunConfig:
 def validate(cfg: RunConfig, sources):
     """Raise ConfigError at the first bad value, citing its source from ``sources``.
 
-    n = 0 stands for an unset size: the presets fix their own.
+    n = 0 stands for an unset size: the presets fix their own, so x0 and
+    pairs are checked against n only once it is set.
     """
     def fail(key, message):
         where = f"{sources[key]}: " if key in sources else ""
@@ -133,7 +134,7 @@ def validate(cfg: RunConfig, sources):
         fail("j", f"j must be > 0, got {cfg.j}")
     if cfg.g < 0:
         fail("g", f"g must be >= 0, got {cfg.g}")
-    if cfg.x0 is not None and not 1 <= cfg.x0 <= cfg.n:
+    if cfg.n != 0 and cfg.x0 is not None and not 1 <= cfg.x0 <= cfg.n:
         fail("x0", f"x0 must be in [1, {cfg.n}], got {cfg.x0}")
     if cfg.samples < 2:
         fail("samples", f"samples must be >= 2, got {cfg.samples}")
@@ -142,7 +143,7 @@ def validate(cfg: RunConfig, sources):
     if cfg.scale_max <= 0:
         fail("scale_max", f"scale_max must be > 0, got {cfg.scale_max}")
     for i, j in cfg.pairs:
-        if i == j or not (1 <= i <= cfg.n and 1 <= j <= cfg.n):
+        if cfg.n != 0 and (i == j or not (1 <= i <= cfg.n and 1 <= j <= cfg.n)):
             fail("pairs", f"invalid pair {i}:{j} for n = {cfg.n}")
     # a sweep names each coupling's file sweep_g{g:g}_series.csv
     names = set()
@@ -159,63 +160,48 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def write_csv(path, header, columns):
+    """Write equal-length ``columns`` under ``header`` as one CSV file.
+
+    Numbers go through ``fmt``, so an integer-valued float such as a site
+    label prints as an integer and NaN as ``nan``; a column of strings is
+    written as given.  Raises ValueError before the file is opened when the
+    header does not name every column, the columns differ in length or they
+    are empty.
+    """
+    if len(header) != len(columns):
+        raise ValueError(f"{len(header)} header fields for {len(columns)} columns")
+    lengths = {len(column) for column in columns}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ValueError(f"columns must be equal in length and non-empty, got {sorted(lengths)}")
+    values = [np.asarray(column).tolist() for column in columns]
+    cells = [v if isinstance(v[0], str) else [fmt(x) for x in v] for v in values]
+    rows = [",".join(header), *map(",".join, zip(*cells))]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(rows) + "\n")
+
+
+def read_csv(path):
+    """Inverse of write_csv for numeric files: returns (header, data array)."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        return header, np.array([[float(c) for c in line.split(",")] for line in fh])
+
+
 def write_series_csv(series, path):
     """Observable series as CSV: t_J, entropy, pi_a, then one column per pair."""
-    if len(series.times) == 0:
-        raise ValueError("refusing to write an empty series")
-    headers = ["t_J", "entropy", "pi_a"] + [f"C_{i}_{j}" for i, j in series.pairs]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(headers) + "\n")
-        for row in range(len(series.times)):
-            cells = [fmt(series.times[row]), fmt(series.entropy[row]), fmt(series.pi_a[row])]
-            cells += [fmt(series.concurrence[row, col]) for col in range(len(series.pairs))]
-            fh.write(",".join(cells) + "\n")
-
-
-def read_series_csv(path):
-    """Inverse of write_series_csv: returns (headers, data array)."""
-    with open(path, encoding="utf-8") as fh:
-        headers = fh.readline().strip().split(",")
-        data = np.array([[float(c) for c in line.strip().split(",")] for line in fh])
-    return headers, data
+    write_csv(path, ["t_J", "entropy", "pi_a"] + [f"C_{i}_{j}" for i, j in series.pairs],
+              [series.times, series.entropy, series.pi_a, *np.transpose(series.concurrence)])
 
 
 def write_map_csv(values, path):
-    """N x N concurrence map as CSV with 1-based site labels."""
-    n = values.shape[0]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("site," + ",".join(str(j) for j in range(1, n + 1)) + "\n")
-        for i in range(n):
-            fh.write(str(i + 1) + "," + ",".join(fmt(v) for v in values[i]) + "\n")
-
-
-def read_map_csv(path):
-    """Inverse of write_map_csv: returns the N x N array."""
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        rows = [[float(c) for c in line.strip().split(",")[1:]] for line in fh]
-    return np.array(rows)
+    """N x N concurrence map as CSV: the 1-based site, then one column per site."""
+    sites = np.arange(1, len(values) + 1)
+    write_csv(path, ["site", *map(str, sites)], [sites, *np.transpose(values)])
 
 
 def write_modes_csv(modes, path):
     """Mode table as CSV: m, k, omega_k, delta_k, rabi_k, eps_plus, eps_minus."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("m,k,omega_k,delta_k,rabi_k,eps_plus,eps_minus\n")
-        for idx in range(len(modes.momenta)):
-            fh.write(
-                ",".join(
-                    [str(idx + 1)]
-                    + [
-                        fmt(col[idx])
-                        for col in (
-                            modes.momenta,
-                            modes.frequencies,
-                            modes.detunings,
-                            modes.rabi,
-                            modes.eps_plus,
-                            modes.eps_minus,
-                        )
-                    ]
-                )
-                + "\n"
-            )
+    write_csv(path, ["m", "k", "omega_k", "delta_k", "rabi_k", "eps_plus", "eps_minus"],
+              [np.arange(1, len(modes.momenta) + 1), modes.momenta, modes.frequencies,
+               modes.detunings, modes.rabi, modes.eps_plus, modes.eps_minus])

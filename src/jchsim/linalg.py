@@ -19,7 +19,15 @@ class ConvergenceError(RuntimeError):
     """Raised when an iterative eigensolver fails to converge."""
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
+_JACOBI_TOL = 1e-13
+_JACOBI_MAX_SWEEPS = 100
+# QR deflates a subdiagonal entry below this fraction of its diagonal neighbours
+_QR_TOL = 1e-14
+_QR_MAX_ITER = 1000
+_COEFF_TOL = 1e-13
+
+
+def jacobi_eigh(a: np.ndarray):
     """Eigendecomposition of a real symmetric matrix by round-robin Jacobi.
 
     Each sweep visits every (p, q) pair once in round-robin (Brent-Luk
@@ -27,13 +35,13 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
     one index sits out each round.  The disjoint rotations of a round commute,
     so they are applied together as one vectorized row, column and
     eigenvector update.  Sweeps repeat until the off-diagonal Frobenius norm
-    drops below ``tol`` relative to the matrix norm.  Returns (eigenvalues
-    ascending, eigenvectors as columns).
+    drops below ``_JACOBI_TOL`` relative to the matrix norm.  Returns
+    (eigenvalues ascending, eigenvectors as columns).
 
     No LAPACK eigen-routine is used, so the oracle stays independent of the
     library eigensolvers it may be compared with.
 
-    Raises ConvergenceError after ``max_sweeps`` sweeps without convergence.
+    Raises ConvergenceError if ``_JACOBI_MAX_SWEEPS`` sweeps do not converge.
     """
     original = np.asarray(a, dtype=float)
     a = original.copy()
@@ -48,12 +56,12 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
         order = np.argsort(np.diag(a))
         return np.diag(a)[order], vecs[:, order]
     # rotations with |a_pq| below this cannot affect the converged result
-    skip = 0.01 * tol * scale / n
+    skip = 0.01 * _JACOBI_TOL * scale / n
     rounds = _round_robin(n)
 
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= tol * scale:
+        if off <= _JACOBI_TOL * scale:
             w = _rayleigh_refine(original, vecs)
             order = np.argsort(w, kind="stable")
             return w[order], vecs[:, order]
@@ -76,7 +84,7 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
             a[pq, :] = cc[:, None] * a[pq, :] + ss[:, None] * a[qp, :]
             a[pq, qp] = 0.0
             vecs[:, pq] = cc * vecs[:, pq] + ss * vecs[:, qp]
-    raise ConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps")
+    raise ConvergenceError(f"Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
 
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -159,7 +167,7 @@ def companion_matrix(coeffs: np.ndarray) -> np.ndarray:
     return c
 
 
-def hessenberg_qr_eigvals(h: np.ndarray, tol: float = 1e-14, max_iter: int = 1000):
+def hessenberg_qr_eigvals(h: np.ndarray):
     """Eigenvalues of a complex upper-Hessenberg matrix by shifted QR with Givens rotations."""
     h = np.array(h, dtype=complex)
     n = h.shape[0]
@@ -169,7 +177,7 @@ def hessenberg_qr_eigvals(h: np.ndarray, tol: float = 1e-14, max_iter: int = 100
         if n == 1:
             eigs.append(h[0, 0])
             break
-        if abs(h[n - 1, n - 2]) <= tol * (abs(h[n - 2, n - 2]) + abs(h[n - 1, n - 1])):
+        if abs(h[n - 1, n - 2]) <= _QR_TOL * (abs(h[n - 2, n - 2]) + abs(h[n - 1, n - 1])):
             eigs.append(h[n - 1, n - 1])
             n -= 1
             h = h[:n, :n]
@@ -177,13 +185,13 @@ def hessenberg_qr_eigvals(h: np.ndarray, tol: float = 1e-14, max_iter: int = 100
         if n == 2:
             eigs.extend(_eigvals_2x2(h))
             break
-        if abs(h[n - 2, n - 3]) <= tol * (abs(h[n - 3, n - 3]) + abs(h[n - 2, n - 2])):
+        if abs(h[n - 2, n - 3]) <= _QR_TOL * (abs(h[n - 3, n - 3]) + abs(h[n - 2, n - 2])):
             eigs.extend(_eigvals_2x2(h[n - 2:, n - 2:]))
             n -= 2
             h = h[:n, :n]
             continue
         iters += 1
-        if iters > max_iter:
+        if iters > _QR_MAX_ITER:
             raise ConvergenceError("QR iteration did not converge")
         # single-shift QR step: H - mu I = QR, H <- RQ + mu I
         mu = _wilkinson_shift(h[n - 2:, n - 2:])
@@ -223,12 +231,12 @@ def _wilkinson_shift(m):
     return e[0] if abs(e[0] - m[1, 1]) < abs(e[1] - m[1, 1]) else e[1]
 
 
-def small_matrix_eigvals(a: np.ndarray, coeff_tol: float = 1e-13) -> np.ndarray:
+def small_matrix_eigvals(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a small complex matrix via companion-matrix reduction.
 
     The matrix is normalized, its characteristic polynomial taken, and the
     companion eigenproblem solved by shifted QR.  Coefficients below
-    ``coeff_tol`` are rounded to exact zero first: a defective zero eigenvalue
+    ``_COEFF_TOL`` are rounded to exact zero first: a defective zero eigenvalue
     would otherwise smear into a root cluster of radius ~eps^(1/multiplicity).
     """
     a = np.asarray(a, dtype=complex)
@@ -236,7 +244,7 @@ def small_matrix_eigvals(a: np.ndarray, coeff_tol: float = 1e-13) -> np.ndarray:
     if scale == 0.0:
         return np.zeros(a.shape[0], dtype=complex)
     coeffs = characteristic_polynomial(a / scale)
-    coeffs[np.abs(coeffs) < coeff_tol] = 0.0
+    coeffs[np.abs(coeffs) < _COEFF_TOL] = 0.0
     # exact zero roots deflate analytically
     zeros = 0
     while len(coeffs) > 0 and coeffs[-1] == 0.0:

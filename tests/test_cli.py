@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import svg_reference
-from jchsim import io
+from jchsim import experiments, io
 from jchsim.cli import cli_main
+from jchsim.dynamics import TimeGrid
+from jchsim.experiments import ExperimentSpec
+from jchsim.model import ModelParams
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -91,7 +94,7 @@ def test_evolve_artifacts_and_flag_override(tmp_path):
     out = tmp_path / "r"
     assert cli_main(["evolve", "--config", str(cfg), "--out", str(out),
                      "--samples", "21", "--method", "dense"]) == 0
-    headers, data = io.read_series_csv(out / "evolve_series.csv")
+    headers, data = io.read_csv(out / "evolve_series.csv")
     assert headers == ["t_J", "entropy", "pi_a", "C_2_5"]
     assert data.shape == (21, 4)
     assert (out / "evolve_plot.svg").exists()
@@ -109,7 +112,7 @@ def test_evolve_byte_identical_reruns(tmp_path):
 
 def test_fig2_artifacts(tmp_path):
     assert cli_main(["fig2", "--out", str(tmp_path)]) == 0
-    headers, data = io.read_series_csv(tmp_path / "fig2_series.csv")
+    headers, data = io.read_csv(tmp_path / "fig2_series.csv")
     assert headers == ["t_J", "entropy", "pi_a", "C_21_33", "C_31_33"]
     assert data.shape[0] >= 2048
     assert (tmp_path / "fig2_plot.svg").exists()
@@ -122,7 +125,7 @@ def test_fig3_artifacts(tmp_path):
     csvs = sorted(tmp_path.glob("fig3_t*_map.csv"))
     svgs = sorted(tmp_path.glob("fig3_t*_map.svg"))
     assert len(csvs) == 1 and len(svgs) == 1
-    values = io.read_map_csv(csvs[0])
+    values = io.read_csv(csvs[0])[1][:, 1:]
     assert values.shape == (101, 101)
     assert np.array_equal(values, values.T)
 
@@ -130,7 +133,7 @@ def test_fig3_artifacts(tmp_path):
 def _assert_svg_matches_etree_reference(stem, title, tmp_path, scale_max=0.25):
     """The CLI's heatmap SVG equals the ElementTree reference's rendering of
     the map CSV written beside it (17 digits round-trip the values exactly)."""
-    values = io.read_map_csv(f"{stem}.csv")
+    values = io.read_csv(f"{stem}.csv")[1][:, 1:]
     rewritten = tmp_path / "rewritten.csv"
     io.write_map_csv(values, rewritten)
     assert rewritten.read_bytes() == Path(f"{stem}.csv").read_bytes()
@@ -152,7 +155,7 @@ def test_fig3_default_maps_match_etree_reference(tmp_path):
 def test_fig4_artifacts(tmp_path):
     out = tmp_path / "out"
     assert cli_main(["fig4", "--g-over-j", "10", "--out", str(out)]) == 0
-    values = io.read_map_csv(out / "fig4_g10_maxmap.csv")
+    values = io.read_csv(out / "fig4_g10_maxmap.csv")[1][:, 1:]
     assert values.shape == (201, 201)
     assert (out / "fig4_g10_maxmap.svg").exists()
     _assert_svg_matches_etree_reference(out / "fig4_g10_maxmap",
@@ -211,7 +214,7 @@ def test_flag_wins_over_invalid_file_value(tmp_path):
     out = tmp_path / "r"
     assert cli_main(["evolve", "--config", str(cfg), "--out", str(out),
                      "--samples", "21"]) == 0
-    _, data = io.read_series_csv(out / "evolve_series.csv")
+    _, data = io.read_csv(out / "evolve_series.csv")
     assert data.shape[0] == 21
 
 
@@ -269,3 +272,48 @@ def test_sweep_rejects_bad_g_list(tmp_path, capsys, g_list):
     assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error: line 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_presets_ignore_pairs_and_x0_without_n(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pairs = 2:5\nx0 = 3\n")
+    assert cli_main(["fig2", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    assert cli_main(["fig2", "--out", str(tmp_path / "b")]) == 0
+    written = _tree(tmp_path / "a")
+    assert written and written == _tree(tmp_path / "b")
+
+
+def test_pairs_are_checked_once_n_is_set(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 9\ng = 0.5\npairs = 2:10\n")
+    out = tmp_path / "r"
+    assert cli_main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "line 3: invalid pair 2:10 for n = 9" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_writes_failed_row(tmp_path, capsys, monkeypatch):
+    compute = experiments.compute_series
+
+    def fail_at_g1(spec):
+        if spec.params.coupling == 1.0:
+            raise FloatingPointError("forced failure")
+        return compute(spec)
+
+    monkeypatch.setattr(experiments, "compute_series", fail_at_g1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 9\ng_list = 0.1, 1\nt_max = 10\nsamples = 16\npairs = 2:5\n")
+    out = tmp_path / "s"
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "error: spec g=1 failed: forced failure" in captured.err
+    assert captured.out == (f"wrote {out / 'sweep_g0.1_series.csv'}\n"
+                            f"wrote {out / 'sweep_summary.csv'}\n")
+    ok = compute(ExperimentSpec(name="g0.1", params=ModelParams(9, coupling=0.1), x0=5,
+                                grid=TimeGrid(0.0, 10.0, 16), pairs=((2, 5),)))
+    assert (out / "sweep_summary.csv").read_bytes() == (
+        "g_over_j,max_entropy,max_pi_f,status\n"
+        f"0.10000000000000001,{ok.entropy.max():.17g},{ok.pi_f.max():.17g},ok\n"
+        "1,nan,nan,failed\n").encode()
+    assert (out / "sweep_g0.1_series.csv").exists()
+    assert not (out / "sweep_g1_series.csv").exists()

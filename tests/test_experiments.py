@@ -48,6 +48,12 @@ def test_spec_validates_x0():
                        grid=TimeGrid(0.0, 1.0, 2))
 
 
+@pytest.mark.parametrize("pair", [(0, 5), (3, 3), (2, 10)])
+def test_spec_validates_pairs(pair):
+    with pytest.raises(ValueError, match="pair"):
+        small_spec(pairs=(pair,))
+
+
 def test_series_entropy_is_binary_entropy_of_pi_a():
     series = compute_series(small_spec())
     expected = np.array([binary_entropy(p) for p in series.pi_a])

@@ -87,7 +87,7 @@ def test_series_csv_round_trip(tmp_path):
     series = compute_series(spec)
     path = tmp_path / "series.csv"
     io.write_series_csv(series, path)
-    headers, data = io.read_series_csv(path)
+    headers, data = io.read_csv(path)
     assert headers == ["t_J", "entropy", "pi_a", "C_2_5", "C_4_8"]
     assert np.array_equal(data[:, 0], series.times)
     assert np.array_equal(data[:, 1], series.entropy)
@@ -112,7 +112,7 @@ def test_map_csv_round_trip(tmp_path):
     values = (values + values.T) / 2
     path = tmp_path / "map.csv"
     io.write_map_csv(values, path)
-    back = io.read_map_csv(path)
+    back = io.read_csv(path)[1][:, 1:]
     assert np.array_equal(back, values)
     header = path.read_text().splitlines()[0]
     assert header == "site," + ",".join(str(j) for j in range(1, 8))
@@ -127,3 +127,52 @@ def test_modes_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[1]) == np.pi / 6
+
+
+def test_write_csv_format(tmp_path):
+    path = tmp_path / "table.csv"
+    io.write_csv(path, ["site", "x", "status"],
+                 [np.arange(1, 6), [0.1, np.nan, np.inf, -np.inf, 201.0],
+                  ["ok", "failed", "ok", "ok", "ok"]])
+    assert path.read_text() == ("site,x,status\n"
+                                "1,0.10000000000000001,ok\n"
+                                "2,nan,failed\n"
+                                "3,inf,ok\n"
+                                "4,-inf,ok\n"
+                                "5,201,ok\n")
+    io.write_map_csv(np.array([[0.0, 0.1], [0.1, 0.0]]), path)
+    assert path.read_text() == "site,1,2\n1,0,0.10000000000000001\n2,0.10000000000000001,0\n"
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["a", "b"], [[1.0, 2.0]]),
+    (["a", "b"], [[1.0, 2.0], [3.0]]),
+    (["a"], [[]]),
+    ([], []),
+], ids=["header-mismatch", "ragged", "empty", "no-columns"])
+def test_write_csv_rejects_before_opening(tmp_path, header, columns):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError):
+        io.write_csv(path, header, columns)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("rows", [32, 34])
+def test_series_csv_rejects_misaligned_concurrence(tmp_path, rows):
+    spec = ExperimentSpec(
+        name="t", params=ModelParams(9, coupling=0.7), x0=5,
+        grid=TimeGrid(0.0, 12.0, 33), pairs=((2, 5), (4, 8)),
+    )
+    series = compute_series(spec)
+    series.concurrence = np.zeros((rows, 2))
+    path = tmp_path / "series.csv"
+    with pytest.raises(ValueError):
+        io.write_series_csv(series, path)
+    assert not path.exists()
+
+
+def test_map_csv_rejects_non_square(tmp_path):
+    path = tmp_path / "map.csv"
+    with pytest.raises(ValueError):
+        io.write_map_csv(np.zeros((3, 5)), path)
+    assert not path.exists()
