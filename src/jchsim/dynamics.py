@@ -110,7 +110,8 @@ class WeakCouplingPropagator(ModePropagator):
 
     ``validity`` is g over the smallest off-resonant detuning; the
     approximation is good when it is small.  The caller picks the resonant
-    mode; nothing is refused when the metric is large.
+    mode (``make_propagator`` takes the one closest to the atoms); nothing is
+    refused when the metric is large.
     """
 
     method = "weak"
@@ -210,9 +211,12 @@ def build_polariton_hamiltonian(params: ModelParams, drop_cross_terms: bool) -> 
     return h
 
 
-def make_propagator(method: str, params: ModelParams, modes: ModeTable | None = None,
-                    resonant_mode: int | None = None):
-    """Propagator factory keyed by method name."""
+def make_propagator(method: str, params: ModelParams, modes: ModeTable | None = None):
+    """Propagator factory keyed by method name.
+
+    The weak propagator dresses the mode closest to resonance with the atoms:
+    the lowest index whose |delta_k| is within 1e-12 of the smallest.
+    """
     if method == "analytic":
         return AnalyticPropagator(params, modes)
     if method == "dense":
@@ -220,9 +224,10 @@ def make_propagator(method: str, params: ModelParams, modes: ModeTable | None = 
 
         return DenseOraclePropagator(build_hamiltonian(params))
     if method == "weak":
-        if resonant_mode is None:
-            resonant_mode = (params.n_cavities + 1) // 2
-        return WeakCouplingPropagator(params, resonant_mode, modes)
+        modes = modes if modes is not None else mode_table(params)
+        detuning = np.abs(modes.detunings)
+        resonant = int(np.argmax(detuning <= detuning.min() + 1e-12)) + 1
+        return WeakCouplingPropagator(params, resonant, modes)
     if method == "strong":
         return StrongCouplingPropagator(params, modes)
     raise ValueError(f"unknown propagation method {method!r}")

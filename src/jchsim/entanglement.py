@@ -10,10 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import small_matrix_eigvals
+from .linalg import jacobi_eigh
 
 # rho may have eigenvalues this far below zero (rounding) and still count as PSD
 _PSD_TOL = 1e-9
+# eigenvalues of rho and of sqrt(rho) rho_tilde sqrt(rho) at or below this count as zero
+_ZERO_TOL = 1e-13
 _SIGMA_YY = np.array(
     [
         [0, 0, 0, -1],
@@ -90,24 +92,37 @@ def concurrence_closed_form(state: np.ndarray, i: int, j: int) -> float:
     return float(2.0 * abs(ci) * abs(cj))
 
 
+def _real_form(h: np.ndarray) -> np.ndarray:
+    """Real symmetric form [[Re H, -Im H], [Im H, Re H]] of a Hermitian H.
+
+    The form respects products and functions (the form of f(H) is f of the
+    form), and each eigenvalue of H appears in it twice.
+    """
+    return np.block([[h.real, -h.imag], [h.imag, h.real]])
+
+
 def concurrence_wootters_oracle(rho: np.ndarray) -> float:
     """Concurrence of an arbitrary two-qubit density matrix via the spin flip.
 
-    Builds rho_tilde = (sy x sy) rho* (sy x sy), finds the four eigenvalues of
-    rho @ rho_tilde through the characteristic-polynomial/companion route,
-    clamps small negatives and returns max(0, sqrt(l1)-sqrt(l2)-sqrt(l3)-sqrt(l4)).
+    Builds rho_tilde = (sy x sy) rho* (sy x sy).  The eigenvalues of
+    rho @ rho_tilde are those of the Hermitian M = sqrt(rho) rho_tilde sqrt(rho);
+    both sqrt(rho) and M are taken on the real symmetric forms with
+    ``jacobi_eigh``, eigenvalues up to ``_ZERO_TOL`` count as zero, and the
+    result is max(0, sqrt(l1)-sqrt(l2)-sqrt(l3)-sqrt(l4)).
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("expected a 4x4 density matrix")
     if abs(np.trace(rho) - 1.0) > 1e-8 or np.abs(rho - rho.conj().T).max() > 1e-8:
         raise ValueError("input is not a valid density matrix")
-    if np.linalg.eigvalsh(rho).min() < -_PSD_TOL:
+    rho = 0.5 * (rho + rho.conj().T)
+    w, v = jacobi_eigh(_real_form(rho))
+    if w[0] < -_PSD_TOL:
         raise ValueError("density matrix is not positive semidefinite")
-    rho_tilde = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
-    lam = np.real(small_matrix_eigvals(rho @ rho_tilde))
-    lam = np.clip(lam, 0.0, None)
-    lam = np.sqrt(np.sort(lam)[::-1])
+    root = (v * np.sqrt(np.where(w > _ZERO_TOL, w, 0.0))) @ v.T
+    m = root @ _real_form(_SIGMA_YY @ rho.conj() @ _SIGMA_YY) @ root
+    lam = jacobi_eigh(m)[0][::2]
+    lam = np.sqrt(np.where(lam > _ZERO_TOL, lam, 0.0))[::-1]
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 

@@ -80,7 +80,7 @@ def compute_series(spec: ExperimentSpec) -> ObservableSeries:
     """Evolve the spec's initial state and record the requested observables."""
     params = spec.params
     modes = mode_table(params)
-    prop = make_propagator(spec.method, params, modes, resonant_mode=center_site(params.n_cavities))
+    prop = make_propagator(spec.method, params, modes)
     state0 = initial_atomic_excitation(params, spec.x0)
     states = evolve_series(state0, spec.grid, prop)
     ca = entanglement.atomic_amplitudes(states)

@@ -145,14 +145,16 @@ def validate(cfg: RunConfig, sources):
     for i, j in cfg.pairs:
         if cfg.n != 0 and (i == j or not (1 <= i <= cfg.n and 1 <= j <= cfg.n)):
             fail("pairs", f"invalid pair {i}:{j} for n = {cfg.n}")
-    # a sweep names each coupling's file sweep_g{g:g}_series.csv
-    names = set()
-    for g in cfg.g_list:
-        if g < 0:
-            fail("g_list", f"g_list entries must be >= 0, got {g}")
-        if f"{g:g}" in names:
-            fail("g_list", f"g_list entries must differ in their file name, {g!r} gives g{g:g}")
-        names.add(f"{g:g}")
+    # each entry names a file: sweep_g{g:g}_series.csv, fig3_t{t:g}_map.csv
+    for key, prefix in (("g_list", "g"), ("snapshot_times", "t")):
+        names = set()
+        for x in getattr(cfg, key):
+            if x < 0:
+                fail(key, f"{key} entries must be >= 0, got {x}")
+            if f"{x:g}" in names:
+                fail(key, f"{key} entries must differ in their file name, "
+                          f"{x!r} gives {prefix}{x:g}")
+            names.add(f"{x:g}")
 
 
 def fmt(x) -> str:

@@ -1,14 +1,13 @@
 """Self-contained eigenvalue machinery used by the verification oracles.
 
-Two solvers live here so that the oracle paths do not share code with the
-closed-form physics they are meant to check:
+One solver lives here so that the oracle paths do not share code with the
+closed-form physics they are meant to check: a Jacobi eigensolver for real
+symmetric matrices in round-robin (parallel) order, vectorized one round of
+disjoint rotations at a time.  It serves both oracles: the dense propagator
+diagonalizes the Hamiltonian with it, and the Wootters concurrence takes the
+eigenvalues of Hermitian 4x4 matrices through their real symmetric 8x8 forms.
 
-* a Jacobi eigensolver for real symmetric matrices in round-robin (parallel)
-  order, vectorized one round of disjoint rotations at a time, and
-* eigenvalues of small complex matrices via the characteristic polynomial,
-  companion-matrix reduction and a shifted QR iteration.
-
-Neither calls a LAPACK eigen-routine (``numpy.linalg.eig*``): the oracles are
+It calls no LAPACK eigen-routine (``numpy.linalg.eig*``): the oracles are
 meant to stay independent of the library solvers they may be compared with.
 """
 
@@ -21,10 +20,6 @@ class ConvergenceError(RuntimeError):
 
 _JACOBI_TOL = 1e-13
 _JACOBI_MAX_SWEEPS = 100
-# QR deflates a subdiagonal entry below this fraction of its diagonal neighbours
-_QR_TOL = 1e-14
-_QR_MAX_ITER = 1000
-_COEFF_TOL = 1e-13
 
 
 def jacobi_eigh(a: np.ndarray):
@@ -138,124 +133,3 @@ def evolution_phases(energies: np.ndarray, t: float) -> np.ndarray:
 
 # 2*pi to long-double precision; np.pi alone would leak eps(double) per wrap
 _TWO_PI_LD = np.longdouble("6.28318530717958647692528676655900577")
-
-
-def characteristic_polynomial(a: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients via Faddeev-LeVerrier.
-
-    Returns ``c`` with ``det(lambda I - a) = lambda^n + c[0] lambda^(n-1)
-    + ... + c[n-1]``.
-    """
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    coeffs = np.zeros(n, dtype=complex)
-    m = np.eye(n, dtype=complex)
-    for i in range(1, n + 1):
-        m = a @ m
-        c = -np.trace(m) / i
-        coeffs[i - 1] = c
-        m = m + c * np.eye(n)
-    return coeffs
-
-
-def companion_matrix(coeffs: np.ndarray) -> np.ndarray:
-    """Companion matrix of a monic polynomial given by its non-leading coefficients."""
-    n = len(coeffs)
-    c = np.zeros((n, n), dtype=complex)
-    c[1:, :-1] = np.eye(n - 1)
-    c[:, -1] = -np.asarray(coeffs, dtype=complex)[::-1]
-    return c
-
-
-def hessenberg_qr_eigvals(h: np.ndarray):
-    """Eigenvalues of a complex upper-Hessenberg matrix by shifted QR with Givens rotations."""
-    h = np.array(h, dtype=complex)
-    n = h.shape[0]
-    eigs = []
-    iters = 0
-    while n > 0:
-        if n == 1:
-            eigs.append(h[0, 0])
-            break
-        if abs(h[n - 1, n - 2]) <= _QR_TOL * (abs(h[n - 2, n - 2]) + abs(h[n - 1, n - 1])):
-            eigs.append(h[n - 1, n - 1])
-            n -= 1
-            h = h[:n, :n]
-            continue
-        if n == 2:
-            eigs.extend(_eigvals_2x2(h))
-            break
-        if abs(h[n - 2, n - 3]) <= _QR_TOL * (abs(h[n - 3, n - 3]) + abs(h[n - 2, n - 2])):
-            eigs.extend(_eigvals_2x2(h[n - 2:, n - 2:]))
-            n -= 2
-            h = h[:n, :n]
-            continue
-        iters += 1
-        if iters > _QR_MAX_ITER:
-            raise ConvergenceError("QR iteration did not converge")
-        # single-shift QR step: H - mu I = QR, H <- RQ + mu I
-        mu = _wilkinson_shift(h[n - 2:, n - 2:])
-        d = np.arange(n)
-        h[d, d] -= mu
-        rotations = []
-        for i in range(n - 1):
-            c, s = _givens(h[i, i], h[i + 1, i])
-            rotations.append((c, s))
-            gi = np.array([[c, s], [-np.conj(s), c]])
-            h[i:i + 2, i:] = gi @ h[i:i + 2, i:]
-        for i, (c, s) in enumerate(rotations):
-            gi_h = np.array([[c, -s], [np.conj(s), c]])
-            h[:, i:i + 2] = h[:, i:i + 2] @ gi_h
-        h[d, d] += mu
-    return np.array(eigs[::-1], dtype=complex)
-
-
-def _givens(f, g):
-    """Complex Givens pair (c real, s) with [c s; -conj(s) c] @ [f; g] = [r; 0]."""
-    if g == 0:
-        return 1.0, 0.0 + 0j
-    if f == 0:
-        return 0.0, np.conj(g) / abs(g)
-    r = np.hypot(abs(f), abs(g))
-    return abs(f) / r, (f / abs(f)) * np.conj(g) / r
-
-
-def _eigvals_2x2(m):
-    tr = m[0, 0] + m[1, 1]
-    disc = np.sqrt((m[0, 0] - m[1, 1]) ** 2 + 4.0 * m[0, 1] * m[1, 0] + 0j)
-    return np.array([(tr + disc) / 2.0, (tr - disc) / 2.0])
-
-
-def _wilkinson_shift(m):
-    e = _eigvals_2x2(m)
-    return e[0] if abs(e[0] - m[1, 1]) < abs(e[1] - m[1, 1]) else e[1]
-
-
-def small_matrix_eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a small complex matrix via companion-matrix reduction.
-
-    The matrix is normalized, its characteristic polynomial taken, and the
-    companion eigenproblem solved by shifted QR.  Coefficients below
-    ``_COEFF_TOL`` are rounded to exact zero first: a defective zero eigenvalue
-    would otherwise smear into a root cluster of radius ~eps^(1/multiplicity).
-    """
-    a = np.asarray(a, dtype=complex)
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return np.zeros(a.shape[0], dtype=complex)
-    coeffs = characteristic_polynomial(a / scale)
-    coeffs[np.abs(coeffs) < _COEFF_TOL] = 0.0
-    # exact zero roots deflate analytically
-    zeros = 0
-    while len(coeffs) > 0 and coeffs[-1] == 0.0:
-        coeffs = coeffs[:-1]
-        zeros += 1
-    if len(coeffs) == 0:
-        roots = np.array([], dtype=complex)
-    elif len(coeffs) == 1:
-        roots = np.array([-coeffs[0]])
-    elif len(coeffs) == 2:
-        roots = _eigvals_2x2(np.array([[-coeffs[0], -coeffs[1]], [1.0, 0.0]]))
-    else:
-        roots = hessenberg_qr_eigvals(companion_matrix(coeffs))
-    return scale * np.concatenate([roots, np.zeros(zeros, dtype=complex)])

@@ -274,6 +274,19 @@ def test_sweep_rejects_bad_g_list(tmp_path, capsys, g_list):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("times", ["-3", "6.2831853,6.28318531"])
+@pytest.mark.parametrize("given", ["file", "flag"])
+def test_fig3_rejects_bad_snapshot_times(tmp_path, capsys, times, given):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"snapshot_times = {times}\n" if given == "file" else "")
+    out = tmp_path / "r"
+    extra = ["--snapshot-times", times] if given == "flag" else []
+    assert cli_main(["fig3", "--config", str(cfg), "--out", str(out), *extra]) == 2
+    where = "line 1" if given == "file" else "--snapshot-times"
+    assert f"config error: {where}: snapshot_times entries must" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_presets_ignore_pairs_and_x0_without_n(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("pairs = 2:5\nx0 = 3\n")

@@ -268,6 +268,20 @@ def test_make_propagator_dispatch():
         make_propagator("magic", params)
 
 
+def test_weak_propagator_dresses_the_resonant_mode():
+    # omega_a = 1 J is resonant with mode 28 of N = 41, not the band center
+    params = ModelParams(41, coupling=1e-3, atom_freq=1.0)
+    weak = make_propagator("weak", params)
+    assert weak.resonant_mode == 28 and weak.validity < 0.01
+    exact = make_propagator("analytic", params)
+    times = np.linspace(0.0, 4.0 * np.pi / params.coupling, 257)
+    for x0 in (20, 21):
+        state0 = initial_atomic_excitation(params, x0)
+        pi_weak = np.sum(np.abs(weak.evolve(state0, times)[:, 41:]) ** 2, axis=1)
+        pi_exact = np.sum(np.abs(exact.evolve(state0, times)[:, 41:]) ** 2, axis=1)
+        assert np.abs(pi_weak - pi_exact).max() <= 1e-4
+
+
 @pytest.mark.parametrize("method", ["analytic", "dense", "weak", "strong"])
 def test_evolve_scalar_and_array_times(method):
     params = ModelParams(9, coupling=0.6, atom_freq=0.2)

@@ -150,6 +150,43 @@ def test_wootters_matches_closed_form():
         assert abs(closed - oracle) <= 1e-10
 
 
+def test_wootters_x_states():
+    # Yu & Eberly: C = 2 max(0, |r14| - sqrt(r22 r33), |r23| - sqrt(r11 r44))
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        d = rng.uniform(0.0, 1.0, 4)
+        d /= d.sum()
+        r14 = rng.uniform() * np.sqrt(d[0] * d[3]) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        r23 = rng.uniform() * np.sqrt(d[1] * d[2]) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        rho = np.diag(d).astype(complex)
+        rho[0, 3], rho[3, 0] = r14, np.conj(r14)
+        rho[1, 2], rho[2, 1] = r23, np.conj(r23)
+        expected = 2.0 * max(0.0, abs(r14) - np.sqrt(d[1] * d[2]),
+                             abs(r23) - np.sqrt(d[0] * d[3]))
+        assert abs(concurrence_wootters_oracle(rho) - expected) <= 1e-12
+
+
+def test_wootters_werner_states():
+    bell = np.zeros(4, dtype=complex)
+    bell[1] = bell[2] = 1.0 / np.sqrt(2.0)
+    proj = np.outer(bell, bell.conj())
+    for f in np.linspace(0.0, 1.0, 41):
+        rho = f * proj + (1.0 - f) / 3.0 * (np.eye(4) - proj)
+        assert abs(concurrence_wootters_oracle(rho) - max(0.0, 2.0 * f - 1.0)) <= 1e-12
+
+
+def test_wootters_pure_product_state_is_exactly_zero():
+    psi = np.kron([0.6, 0.8j], [0.28, 0.96 * np.exp(0.3j)])
+    assert concurrence_wootters_oracle(np.outer(psi, psi.conj())) == 0.0
+
+
+def test_wootters_accepts_nearly_hermitian_input():
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[1:3, 1:3] = 0.5
+    rho[1, 2] += 5e-9j
+    assert abs(concurrence_wootters_oracle(rho) - 1.0) <= 1e-8
+
+
 def test_concurrence_bounded_by_atomic_probability():
     rng = np.random.default_rng(9)
     for _ in range(50):

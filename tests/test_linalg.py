@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from jchsim.linalg import (
-    characteristic_polynomial,
-    companion_matrix,
-    evolution_phases,
-    hessenberg_qr_eigvals,
-    jacobi_eigh,
-    small_matrix_eigvals,
-)
+from jchsim.dynamics import make_propagator
+from jchsim.entanglement import concurrence_wootters_oracle
+from jchsim.linalg import evolution_phases, jacobi_eigh
+from jchsim.model import ModelParams, initial_atomic_excitation
 
 
 def test_jacobi_diagonal_input():
@@ -65,47 +61,17 @@ def test_evolution_phases_large_argument():
     assert abs(evolution_phases(e, t)[0] - exact) <= 1e-10
 
 
-def test_characteristic_polynomial_known():
-    a = np.array([[2.0, 0.0], [0.0, 3.0]], dtype=complex)
-    # (x-2)(x-3) = x^2 - 5x + 6
-    assert np.abs(characteristic_polynomial(a) - [-5.0, 6.0]).max() <= 1e-13
+def test_oracles_run_without_lapack_eigensolvers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle called a LAPACK eigen-routine")
 
-
-def test_companion_matrix_roots():
-    # x^3 - 6x^2 + 11x - 6 = (x-1)(x-2)(x-3)
-    c = companion_matrix(np.array([-6.0, 11.0, -6.0], dtype=complex))
-    roots = np.sort_complex(hessenberg_qr_eigvals(c))
-    assert np.abs(roots - [1.0, 2.0, 3.0]).max() <= 1e-12
-
-
-def test_qr_complex_eigenvalues():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        h = np.triu(a, -1)  # upper Hessenberg
-        got = np.sort_complex(hessenberg_qr_eigvals(h))
-        want = np.sort_complex(np.linalg.eigvals(h))
-        assert np.abs(got - want).max() <= 1e-10
-
-
-def test_small_matrix_eigvals_generic():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    got = np.sort_complex(small_matrix_eigvals(a))
-    want = np.sort_complex(np.linalg.eigvals(a))
-    assert np.abs(got - want).max() <= 1e-10
-
-
-def test_small_matrix_eigvals_defective_zeros():
-    # rank-1 PSD-like product: triple zero eigenvalue must come out exact,
-    # not smeared into an eps^(1/3) root cluster
-    v = np.array([0.3, -0.5, 0.2j, 0.7 + 0.1j])
-    a = np.outer(v, v.conj())
-    lam = small_matrix_eigvals(a)
-    lam = np.sort(np.real(lam))
-    assert np.abs(lam[:3]).max() <= 1e-12
-    assert abs(lam[3] - np.vdot(v, v).real) <= 1e-12
-
-
-def test_small_matrix_eigvals_zero_matrix():
-    assert np.array_equal(small_matrix_eigvals(np.zeros((4, 4))), np.zeros(4))
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    w, _ = jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert np.abs(w - [1.0, 3.0]).max() <= 1e-14
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[1:3, 1:3] = 0.5
+    assert abs(concurrence_wootters_oracle(rho) - 1.0) <= 1e-12
+    params = ModelParams(6, coupling=0.7)
+    state = make_propagator("dense", params).evolve(initial_atomic_excitation(params, 3), 2.0)
+    assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
