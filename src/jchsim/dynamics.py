@@ -14,8 +14,10 @@ Four propagators are provided; the first three are one ModePropagator
   ``evolution_phases`` and accepts arbitrary symmetric photon-hopping matrices.
 
 All propagators are immutable after construction and expose
-``evolve(state, t)``: shape (2N,) for a scalar t, (len(t), 2N) for an array
-of times.  The exact ones are unitary to machine precision.
+``evolve(state, t, atoms_only=False)``: shape (2N,) for a scalar t, (len(t), 2N)
+for an array of times; with ``atoms_only`` only the N atomic amplitudes, shape
+(N,) or (len(t), N), bit for bit the last N columns of the full result.  The
+exact ones are unitary to machine precision.
 """
 
 from dataclasses import dataclass, replace
@@ -63,24 +65,32 @@ class ModePropagator:
     def __init__(self, params: ModelParams, modes: ModeTable | None = None):
         self.params = params
         self.modes = self.table(modes if modes is not None else mode_table(params))
+        # the complex copy every back transform would otherwise cast afresh (exact)
+        self._vectors = self.modes.vectors.astype(complex)
 
     def table(self, modes: ModeTable) -> ModeTable:
         """The per-mode blocks this propagator applies; the exact dressed ones here."""
         return modes
 
-    def evolve(self, state: np.ndarray, t) -> np.ndarray:
-        """State at time t, shape (2N,); for an array of times, shape (len(t), 2N)."""
-        m = self.modes
+    def evolve(self, state: np.ndarray, t, atoms_only: bool = False) -> np.ndarray:
+        """State at time t, shape (2N,); for an array of times, shape (len(t), 2N).
+
+        With ``atoms_only`` only the atomic half comes back, shape (N,) or (len(t), N).
+        """
+        m, v = self.modes, self._vectors
         times = np.atleast_1d(t)
         cf, ca = _split(state, self.params.n_cavities)
-        a = m.vectors @ cf
-        b = m.vectors @ ca
+        a = v @ cf
+        b = v @ ca
         # branch coordinates per mode, evolved by their eigenphases
         p_plus = (m.a_plus * a + m.b_plus * b) * evolution_phases(m.eps_plus, times)
         p_minus = (m.a_minus * a + m.b_minus * b) * evolution_phases(m.eps_minus, times)
-        a_t = m.a_plus * p_plus + m.a_minus * p_minus
         b_t = m.b_plus * p_plus + m.b_minus * p_minus
-        states = np.concatenate([a_t @ m.vectors, b_t @ m.vectors], axis=1)
+        if atoms_only:
+            states = b_t @ v
+        else:
+            a_t = m.a_plus * p_plus + m.a_minus * p_minus
+            states = np.concatenate([a_t @ v, b_t @ v], axis=1)
         return states[0] if np.ndim(t) == 0 else states
 
 
@@ -98,11 +108,17 @@ class DenseOraclePropagator:
     def __init__(self, hamiltonian: np.ndarray):
         self.eigenvalues, self.eigenvectors = jacobi_eigh(hamiltonian)
 
-    def evolve(self, state: np.ndarray, t) -> np.ndarray:
-        """State at time t, shape (2N,); for an array of times, shape (len(t), 2N)."""
+    def evolve(self, state: np.ndarray, t, atoms_only: bool = False) -> np.ndarray:
+        """State at time t, shape (2N,); for an array of times, shape (len(t), 2N).
+
+        With ``atoms_only`` only the atomic half comes back, shape (N,) or (len(t), N);
+        it is sliced from the full product, since a scalar t takes gemv, whose
+        kernels round a subset of the output rows differently.
+        """
         u = self.eigenvectors
         coeffs = u.T @ np.asarray(state, dtype=complex)
-        return (evolution_phases(self.eigenvalues, t) * coeffs) @ u.T
+        states = (evolution_phases(self.eigenvalues, t) * coeffs) @ u.T
+        return states[..., len(u) // 2:] if atoms_only else states
 
 
 class WeakCouplingPropagator(ModePropagator):

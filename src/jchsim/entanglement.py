@@ -86,10 +86,15 @@ def reduce_to_pair(state: np.ndarray, i: int, j: int) -> np.ndarray:
     return rho
 
 
+def pair_concurrence(mag_i, mag_j):
+    """C_ij = 2 |c_{a,i}| |c_{a,j}| from the two atomic magnitudes; elementwise."""
+    return 2.0 * mag_i * mag_j
+
+
 def concurrence_closed_form(state: np.ndarray, i: int, j: int) -> float:
     """C_ij = 2 |c_{a,i}| |c_{a,j}|."""
     ci, cj = _pair_amplitudes(state, i, j)
-    return float(2.0 * abs(ci) * abs(cj))
+    return float(pair_concurrence(abs(ci), abs(cj)))
 
 
 def _real_form(h: np.ndarray) -> np.ndarray:
@@ -128,18 +133,25 @@ def concurrence_wootters_oracle(rho: np.ndarray) -> float:
 
 def concurrence_map(state: np.ndarray) -> np.ndarray:
     """All pairwise concurrences as an N x N symmetric matrix, zero diagonal."""
-    mags = np.abs(atomic_amplitudes(state))
-    cmap = 2.0 * np.outer(mags, mags)
-    np.fill_diagonal(cmap, 0.0)
-    return cmap
+    return max_concurrence_map(atomic_amplitudes(state)[None, :])
 
 
 def running_max_map(states) -> np.ndarray:
     """Elementwise maximum of the concurrence map over a sequence of states."""
-    best = None
-    for state in states:
-        cmap = concurrence_map(state)
-        best = cmap if best is None else np.maximum(best, cmap)
-    if best is None:
+    return max_concurrence_map(atomic_amplitudes(states))
+
+
+def max_concurrence_map(ca) -> np.ndarray:
+    """Elementwise maximum of the concurrence map over the rows of ``ca``.
+
+    ``ca`` holds atomic amplitudes, one time per row, shape (T, N); the result
+    is N x N, symmetric, with a zero diagonal.
+    """
+    mags = np.abs(np.asarray(ca))
+    if len(mags) == 0:
         raise ValueError("empty state series")
+    best = pair_concurrence(mags[0, :, None], mags[0])
+    for row in mags[1:]:
+        np.maximum(best, pair_concurrence(row[:, None], row), out=best)
+    np.fill_diagonal(best, 0.0)
     return best

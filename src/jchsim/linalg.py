@@ -120,7 +120,9 @@ def evolution_phases(energies: np.ndarray, t: float) -> np.ndarray:
     For |E| t >> 1 the double rounding of the product alone costs
     eps * |E| t radians, which matters when two exact propagators are
     compared at tight tolerance.  ``t`` may be a scalar or an array; an array
-    broadcasts to shape ``t.shape + energies.shape``.
+    broadcasts to shape ``t.shape + energies.shape``.  The cosine and minus the
+    sine are written straight into the complex result; no complex exponential
+    or temporary complex angle is formed.
     """
     angle = np.mod(
         np.multiply.outer(
@@ -128,7 +130,11 @@ def evolution_phases(energies: np.ndarray, t: float) -> np.ndarray:
         ),
         _TWO_PI_LD,
     ).astype(float)
-    return np.exp(-1j * angle)
+    phases = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=phases.real)
+    np.sin(angle, out=phases.imag)
+    np.negative(phases.imag, out=phases.imag)
+    return phases
 
 
 # 2*pi to long-double precision; np.pi alone would leak eps(double) per wrap

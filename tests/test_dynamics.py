@@ -295,3 +295,19 @@ def test_evolve_scalar_and_array_times(method):
         assert single.shape == (18,)
         assert np.abs(row - single).max() <= 1e-13
     assert np.abs(states[0] - state0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["analytic", "dense", "weak", "strong"])
+@pytest.mark.parametrize("n", [9, 16])
+def test_evolve_atoms_only_is_the_atomic_half(method, n):
+    # an odd N catches a scalar-t (gemv) product over a subset of the output rows
+    params = ModelParams(n, coupling=0.6, atom_freq=0.2)
+    prop = make_propagator(method, params)
+    rng = np.random.default_rng(n)
+    state0 = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    state0 /= np.linalg.norm(state0)
+    for t in (3.1, np.linspace(0.0, 40.0, 37)):
+        full = prop.evolve(state0, t)
+        atoms = prop.evolve(state0, t, atoms_only=True)
+        assert atoms.shape == full[..., n:].shape
+        assert np.array_equal(atoms, full[..., n:])

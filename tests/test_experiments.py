@@ -1,8 +1,13 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from jchsim.dynamics import TimeGrid
-from jchsim.entanglement import binary_entropy
+from jchsim import experiments
+from jchsim.dynamics import TimeGrid, make_propagator
+from jchsim.entanglement import binary_entropy, running_max_map
 from jchsim.experiments import (
     ExperimentSpec,
     center_site,
@@ -13,8 +18,9 @@ from jchsim.experiments import (
     run_fig3,
     run_fig4,
     run_sweep,
+    time_chunks,
 )
-from jchsim.model import ModelParams
+from jchsim.model import ModelParams, initial_atomic_excitation
 
 
 def small_spec(name="case", g=0.5, method="analytic", pairs=((2, 5),)):
@@ -154,3 +160,92 @@ def test_sweep_entropy_trend_across_coupling():
     assert max_s[-1] >= 0.999
     assert max_s[-2] >= 0.999
     assert max(max_s[3:]) <= 1.0 + 1e-12
+
+
+def test_time_chunks_cover_the_grid_with_no_short_chunk():
+    for n_rows in range(1, 1100):
+        chunks = time_chunks(n_rows)
+        assert chunks[0].start == 0 and chunks[-1].stop == n_rows
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        sizes = [c.stop - c.start for c in chunks]
+        assert min(sizes) >= min(n_rows, experiments.MIN_CHUNK_ROWS)
+        assert max(sizes) < experiments.CHUNK_ROWS + experiments.MIN_CHUNK_ROWS
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_chunks_keeps_order_and_uses_the_pool(monkeypatch, workers):
+    monkeypatch.setattr(experiments, "worker_count", lambda: workers)
+    results = experiments.map_chunks(lambda rows: (rows, threading.get_ident()), 2000)
+    assert [rows for rows, _ in results] == time_chunks(2000)
+    on_main = {ident == threading.get_ident() for _, ident in results}
+    assert on_main == {workers == 1}
+
+
+def _unchunked_series(spec):
+    """One evolve over the whole grid, reduced as the series was before chunking."""
+    prop = make_propagator(spec.method, spec.params)
+    states = prop.evolve(initial_atomic_excitation(spec.params, spec.x0), spec.grid.times)
+    mags = np.abs(states[:, spec.params.n_cavities:])
+    pi_a = np.sum(mags**2, axis=1)
+    conc = np.empty((len(pi_a), len(spec.pairs)))
+    for col, (i, j) in enumerate(spec.pairs):
+        conc[:, col] = 2.0 * mags[:, i - 1] * mags[:, j - 1]
+    return pi_a, binary_entropy(pi_a), conc
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("method", ["analytic", "dense"])
+@pytest.mark.parametrize("samples", [2, 7, 8, 9, 255, 256, 257, 263, 264, 2000])
+def test_series_matches_unchunked_reference(monkeypatch, workers, method, samples):
+    monkeypatch.setattr(experiments, "worker_count", lambda: workers)
+    spec = ExperimentSpec(name="chunks", params=ModelParams(21, coupling=0.7, atom_freq=0.1),
+                          x0=11, grid=TimeGrid(0.0, 30.0, samples), method=method,
+                          pairs=((3, 17), (11, 12), (20, 2)))
+    series = compute_series(spec)
+    pi_a, entropy, conc = _unchunked_series(spec)
+    assert np.array_equal(series.pi_a, pi_a)
+    assert np.array_equal(series.entropy, entropy)
+    assert np.array_equal(series.concurrence, conc)
+    assert np.array_equal(series.times, spec.grid.times)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fig4_matches_running_max_of_full_evolve(monkeypatch, workers):
+    monkeypatch.setattr(experiments, "worker_count", lambda: workers)
+    params = ModelParams(n_cavities=201, hopping=1.0, coupling=10.0)
+    states = make_propagator("analytic", params).evolve(
+        initial_atomic_excitation(params, 101), fig4_grid(10.0))
+    assert len(states) > experiments.CHUNK_ROWS
+    assert np.array_equal(run_fig4(10.0), running_max_map(states))
+
+
+def test_series_rows_survive_more_workers_than_cores(monkeypatch):
+    # chunks write disjoint rows of shared arrays: a lost or misplaced row shows here
+    spec = ExperimentSpec(name="stress", params=ModelParams(15, coupling=0.4), x0=8,
+                          grid=TimeGrid(0.0, 40.0, 4001), pairs=((2, 9), (8, 14)))
+    monkeypatch.setattr(experiments, "worker_count", lambda: 1)
+    serial = compute_series(spec)
+    monkeypatch.setattr(experiments, "worker_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = compute_series(spec)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(pooled.pi_a, serial.pi_a)
+    assert np.array_equal(pooled.entropy, serial.entropy)
+    assert np.array_equal(pooled.concurrence, serial.concurrence)
+
+
+def test_series_memory_stays_chunk_sized(monkeypatch):
+    # the full (T, 2N) state array alone would be 64 MB here
+    monkeypatch.setattr(experiments, "worker_count", lambda: 2)
+    spec = ExperimentSpec(name="big", params=ModelParams(1001, coupling=1.0), x0=501,
+                          grid=TimeGrid(0.0, 50.0, 2000), pairs=((474, 518), (528, 484)))
+    tracemalloc.start()
+    try:
+        compute_series(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
