@@ -5,14 +5,16 @@ Four propagators are provided; the first three are one ModePropagator
 
 * AnalyticPropagator -- exact, via the 2x2 dressed blocks of the normal-mode
   decomposition; valid in every coupling regime.
-* WeakCouplingPropagator -- resonant-mode approximation (one mode dressed,
-  the rest frozen); meaningful when g is small against all other detunings.
+* WeakCouplingPropagator -- resonant-mode approximation (the mode closest to
+  resonance with the atoms dressed, the rest frozen); meaningful when g is
+  small against all other detunings.
 * StrongCouplingPropagator -- decoupled polariton chains; meaningful when g
   dominates the free-field bandwidth and the atomic frequency.
 * DenseOraclePropagator -- exact, via a full Jacobi eigendecomposition of the
   Hamiltonian matrix; shares no formulas with the analytic path beyond
   ``evolution_phases`` and accepts arbitrary symmetric photon-hopping matrices.
 
+The mode propagators take only the ModelParams and build their own mode table.
 All propagators are immutable after construction and expose
 ``evolve(state, t, atoms_only=False)``: shape (2N,) for a scalar t, (len(t), 2N)
 for an array of times; with ``atoms_only`` only the N atomic amplitudes, shape
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import evolution_phases, jacobi_eigh
-from .model import ModelParams
+from .model import ModelParams, build_hamiltonian
 from .spectral import ModeTable, mode_table
 
 
@@ -62,9 +64,9 @@ class ModePropagator:
     eps_pm; ``table`` gives the (a_pm, b_pm, eps_pm) that a subclass applies.
     """
 
-    def __init__(self, params: ModelParams, modes: ModeTable | None = None):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.modes = self.table(modes if modes is not None else mode_table(params))
+        self.modes = self.table(mode_table(params))
         # the complex copy every back transform would otherwise cast afresh (exact)
         self._vectors = self.modes.vectors.astype(complex)
 
@@ -121,28 +123,34 @@ class DenseOraclePropagator:
         return states[..., len(u) // 2:] if atoms_only else states
 
 
+def _resonant_mode(modes: ModeTable) -> int:
+    """1-based index of the lowest mode whose |delta_k| is within 1e-12 of the smallest."""
+    detuning = np.abs(modes.detunings)
+    return int(np.argmax(detuning <= detuning.min() + 1e-12)) + 1
+
+
 class WeakCouplingPropagator(ModePropagator):
     """Effective evolution with a single dressed mode, all others frozen.
 
-    ``validity`` is g over the smallest off-resonant detuning; the
-    approximation is good when it is small.  The caller picks the resonant
-    mode (``make_propagator`` takes the one closest to the atoms); nothing is
-    refused when the metric is large.
+    The dressed mode is ``resonant_mode``, the one closest to resonance with
+    the atoms.  ``validity`` is g over the smallest off-resonant detuning; the
+    approximation is good when it is small, and nothing is refused when it is
+    large.
     """
 
     method = "weak"
 
-    def __init__(self, params: ModelParams, resonant_mode: int, modes: ModeTable | None = None):
-        n = params.n_cavities
-        if not 1 <= resonant_mode <= n:
-            raise ValueError(f"resonant mode {resonant_mode} out of range [1, {n}]")
-        self.resonant_mode = resonant_mode
-        super().__init__(params, modes)
-        others = np.abs(np.delete(self.modes.detunings, resonant_mode - 1))
-        self.validity = float(params.coupling / others.min()) if others.min() > 0 else np.inf
+    @property
+    def resonant_mode(self) -> int:
+        return _resonant_mode(self.modes)
+
+    @property
+    def validity(self) -> float:
+        others = np.abs(np.delete(self.modes.detunings, self.resonant_mode - 1))
+        return float(self.params.coupling / others.min()) if others.min() > 0 else np.inf
 
     def table(self, modes: ModeTable) -> ModeTable:
-        res = np.arange(self.params.n_cavities) == self.resonant_mode - 1
+        res = np.arange(self.params.n_cavities) == _resonant_mode(modes) - 1
         w_a, g, h = self.params.atom_freq, self.params.coupling, np.sqrt(0.5)
         # off-resonant modes keep their bare phases ('+' the photon, '-' the atom);
         # the resonant block rotates at the atomic frequency and Rabi-flops
@@ -161,12 +169,12 @@ class StrongCouplingPropagator(ModePropagator):
 
     method = "strong"
 
-    def __init__(self, params: ModelParams, modes: ModeTable | None = None):
-        super().__init__(params, modes)
-        g = params.coupling
-        self.validity = (
-            float(2.0 * (2.0 * params.hopping + abs(params.atom_freq)) / g) if g > 0 else np.inf
-        )
+    @property
+    def validity(self) -> float:
+        p = self.params
+        if p.coupling == 0:
+            return np.inf
+        return float(2.0 * (2.0 * p.hopping + abs(p.atom_freq)) / p.coupling)
 
     def table(self, modes: ModeTable) -> ModeTable:
         # polariton branches, each a chain with hopping J/2 (mode energy w_k/2)
@@ -227,25 +235,13 @@ def build_polariton_hamiltonian(params: ModelParams, drop_cross_terms: bool) -> 
     return h
 
 
-def make_propagator(method: str, params: ModelParams, modes: ModeTable | None = None):
-    """Propagator factory keyed by method name.
-
-    The weak propagator dresses the mode closest to resonance with the atoms:
-    the lowest index whose |delta_k| is within 1e-12 of the smallest.
-    """
-    if method == "analytic":
-        return AnalyticPropagator(params, modes)
+def make_propagator(method: str, params: ModelParams):
+    """Propagator factory keyed by method name."""
     if method == "dense":
-        from .model import build_hamiltonian
-
         return DenseOraclePropagator(build_hamiltonian(params))
-    if method == "weak":
-        modes = modes if modes is not None else mode_table(params)
-        detuning = np.abs(modes.detunings)
-        resonant = int(np.argmax(detuning <= detuning.min() + 1e-12)) + 1
-        return WeakCouplingPropagator(params, resonant, modes)
-    if method == "strong":
-        return StrongCouplingPropagator(params, modes)
+    for cls in (AnalyticPropagator, WeakCouplingPropagator, StrongCouplingPropagator):
+        if cls.method == method:
+            return cls(params)
     raise ValueError(f"unknown propagation method {method!r}")
 
 

@@ -14,12 +14,12 @@ import numpy as np
 
 from . import entanglement
 
-# evolve_series stays importable here: the benchmark tracer looks it up by name
+# evolve_series and mode_table stay importable here: the benchmark tracer looks them up
 from .dynamics import TimeGrid, evolve_series, make_propagator  # noqa: F401
 from .model import ModelParams, initial_atomic_excitation
-from .spectral import mode_table
+from .spectral import mode_table  # noqa: F401
 
-# time rows per chunk of the series and fig4 pipelines
+# time rows per chunk of the evolve_chunks pipeline
 CHUNK_ROWS = 256
 # a shorter tail joins the chunk before it: a 1-row product takes gemv, not gemm,
 # and rounds differently
@@ -105,15 +105,14 @@ def worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def map_chunks(fn, n_rows: int) -> list:
-    """[fn(rows) for rows in time_chunks(n_rows)], on up to ``worker_count()`` threads.
+def map_chunks(fn, chunks) -> list:
+    """[fn(rows) for rows in chunks], on up to ``worker_count()`` threads.
 
     numpy releases the GIL inside BLAS and its ufunc loops, so the chunks
     overlap.  Each call must touch only its own rows; the results come back
     in chunk order, so nothing depends on the number of workers.  One chunk
     or one CPU runs in the calling thread.
     """
-    chunks = time_chunks(n_rows)
     workers = min(worker_count(), len(chunks))
     if workers <= 1:
         return [fn(rows) for rows in chunks]
@@ -123,26 +122,29 @@ def map_chunks(fn, n_rows: int) -> list:
         return list(pool.map(fn, chunks))
 
 
-def compute_series(spec: ExperimentSpec) -> ObservableSeries:
-    """Evolve the spec's initial state and record the requested observables.
+def evolve_chunks(method, params, x0, times, fn, chunks=None) -> list:
+    """[fn(atomic amplitudes of |e_x0> at times[rows], shape (rows, N)) for rows in chunks].
 
-    Only the atomic amplitudes are evolved, one time chunk at a time, and
-    each chunk is reduced into its rows of the series at once.
+    One propagator serves every chunk; ``chunks`` defaults to ``time_chunks(len(times))``.
     """
-    params = spec.params
-    prop = make_propagator(spec.method, params, mode_table(params))
-    state0 = initial_atomic_excitation(params, spec.x0)
+    prop = make_propagator(method, params)
+    state0 = initial_atomic_excitation(params, x0)
+    return map_chunks(lambda rows: fn(prop.evolve(state0, times[rows], atoms_only=True)),
+                      time_chunks(len(times)) if chunks is None else chunks)
+
+
+def compute_series(spec: ExperimentSpec) -> ObservableSeries:
+    """Evolve the spec's initial state and record its observables, one time chunk at a time."""
     times = spec.grid.times
     sites = np.array(spec.pairs, dtype=int).reshape(-1, 2) - 1
-    pi_a = np.empty(len(times))
-    conc = np.empty((len(times), len(sites)))
 
-    def reduce(rows):
-        mags = np.abs(prop.evolve(state0, times[rows], atoms_only=True))
-        pi_a[rows] = np.sum(mags**2, axis=1)
-        conc[rows] = entanglement.pair_concurrence(mags[:, sites[:, 0]], mags[:, sites[:, 1]])
+    def reduce(ca):
+        mags = np.abs(ca)
+        conc = entanglement.pair_concurrence(mags[:, sites[:, 0]], mags[:, sites[:, 1]])
+        return np.sum(mags**2, axis=1), conc
 
-    map_chunks(reduce, len(times))
+    parts = evolve_chunks(spec.method, spec.params, spec.x0, times, reduce)
+    pi_a, conc = (np.concatenate(column) for column in zip(*parts))
     return ObservableSeries(
         times=times, entropy=entanglement.binary_entropy(pi_a), pi_a=pi_a,
         pairs=list(spec.pairs), concurrence=conc,
@@ -176,19 +178,20 @@ def run_fig3(snapshot_times=None) -> list[SnapshotMap]:
     """
     g = 1e3
     params = ModelParams(n_cavities=101, hopping=1.0, coupling=g)
-    x0 = 51
     if snapshot_times is None:
         snapshot_times = [2000.0 * math.pi / g, 5000.0 * math.pi / g, 10000.0 * math.pi / g]
-    prop = make_propagator("analytic", params)
-    state0 = initial_atomic_excitation(params, x0)
-    out = []
+    off_resonant = []
     for t in snapshot_times:
         cycles = t * g / math.pi
-        off_resonant = abs(cycles - round(cycles)) * math.pi / g > 1e-9
-        state = prop.evolve(state0, t)
-        out.append(SnapshotMap(time=t, values=entanglement.concurrence_map(state),
-                               off_resonant=off_resonant))
-    return out
+        if not math.isfinite(cycles):
+            raise ValueError(f"snapshot time {t:g}/J is too large: t*g overflows")
+        off_resonant.append(abs(cycles - round(cycles)) * math.pi / g > 1e-9)
+    # one row per snapshot: a 1-row product takes gemv, as a scalar time does
+    times = np.array(snapshot_times, dtype=float)
+    maps = evolve_chunks("analytic", params, 51, times, entanglement.max_concurrence_map,
+                         [slice(k, k + 1) for k in range(len(times))])
+    return [SnapshotMap(time=t, values=values, off_resonant=flag)
+            for t, values, flag in zip(snapshot_times, maps, off_resonant)]
 
 
 def fig4_grid(g_over_j: float) -> np.ndarray:
@@ -206,16 +209,10 @@ def fig4_grid(g_over_j: float) -> np.ndarray:
 def run_fig4(g_over_j: float) -> np.ndarray:
     """Running-maximum concurrence map: N=201, x0=101, tJ in [0, 90]."""
     params = ModelParams(n_cavities=201, hopping=1.0, coupling=g_over_j)
-    x0 = 101
-    prop = make_propagator("analytic", params)
-    state0 = initial_atomic_excitation(params, x0)
-    times = fig4_grid(g_over_j)
-
-    def max_map(rows):
-        return entanglement.max_concurrence_map(prop.evolve(state0, times[rows], atoms_only=True))
-
+    maps = evolve_chunks("analytic", params, 101, fig4_grid(g_over_j),
+                         entanglement.max_concurrence_map)
     # the maximum is exact, so merging the chunks' maps gives the bytes of one pass
-    return np.maximum.reduce(map_chunks(max_map, len(times)))
+    return np.maximum.reduce(maps)
 
 
 @dataclass

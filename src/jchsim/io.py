@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import ModelParams
+from .model import MAX_ENERGY, ModelParams
 
 
 class ConfigError(ValueError):
@@ -49,6 +49,7 @@ class RunConfig:
 _METHODS = ("analytic", "dense", "weak", "strong")
 _FLOATS = ("j", "g", "omega_c", "omega_a", "t_start", "t_max", "scale_max")
 _FLOAT_LISTS = ("snapshot_times", "g_list")
+_ENERGIES = ("j", "g", "omega_c", "omega_a", "g_list")
 
 
 def parse_pairs(text: str) -> list:
@@ -128,6 +129,9 @@ def validate(cfg: RunConfig, sources):
     for key in _FLOATS + _FLOAT_LISTS:
         if not np.all(np.isfinite(getattr(cfg, key))):
             fail(key, f"{key} must be finite, got {getattr(cfg, key)}")
+    for key in _ENERGIES:
+        if not np.all(np.abs(getattr(cfg, key)) <= MAX_ENERGY):
+            fail(key, f"{key} must be at most {MAX_ENERGY:g} in magnitude, got {getattr(cfg, key)}")
     if cfg.n != 0 and cfg.n < 2:
         fail("n", f"n must be >= 2, got {cfg.n}")
     if cfg.j <= 0:

@@ -36,17 +36,22 @@ def jacobi_eigh(a: np.ndarray):
     No LAPACK eigen-routine is used, so the oracle stays independent of the
     library eigensolvers it may be compared with.
 
-    Raises ConvergenceError if ``_JACOBI_MAX_SWEEPS`` sweeps do not converge.
+    Raises ValueError if the matrix norm is not finite (entries of about
+    1.3e154 and up overflow it, and the convergence test would then pass at
+    once), and ConvergenceError if ``_JACOBI_MAX_SWEEPS`` sweeps do not converge.
     """
     original = np.asarray(a, dtype=float)
     a = original.copy()
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(a)
+    if not np.isfinite(scale):
+        raise ValueError(f"matrix norm is {scale}: entries must be finite and below 1e154")
     if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
         raise ValueError("matrix is not symmetric")
     n = a.shape[0]
     vecs = np.eye(n)
-    scale = np.linalg.norm(a)
     if scale == 0.0 or n == 1:
         order = np.argsort(np.diag(a))
         return np.diag(a)[order], vecs[:, order]

@@ -11,6 +11,11 @@ import numpy as np
 
 PHOTON = "photon"
 ATOM = "atom"
+# largest |energy| a model accepts, in units of J.  Derived quantities reach the
+# square of an energy (the Frobenius norm of H in the Jacobi oracle) or several
+# times it (hypot(delta_k + Omega_k, 2g) in the mode table), so the bound sits
+# far below sqrt(DBL_MAX) ~ 1.34e154.
+MAX_ENERGY = 1e150
 
 
 @dataclass(frozen=True)
@@ -32,8 +37,9 @@ class ModelParams:
         if int(self.n_cavities) != self.n_cavities or self.n_cavities < 2:
             raise ValueError(f"n_cavities must be an integer >= 2, got {self.n_cavities}")
         for name in ("hopping", "coupling", "cavity_freq", "atom_freq"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            if not abs(getattr(self, name)) <= MAX_ENERGY:
+                raise ValueError(f"{name} must be finite and at most {MAX_ENERGY:g} "
+                                 f"in magnitude, got {getattr(self, name)}")
         if not self.hopping > 0:
             raise ValueError(f"hopping must be > 0, got {self.hopping}")
         if self.coupling < 0:

@@ -256,7 +256,7 @@ def test_modes_without_n_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("g", ["0", "-1", "nan"])
+@pytest.mark.parametrize("g", ["0", "-1", "nan", "1e308"])
 def test_fig4_rejects_non_positive_coupling(tmp_path, capsys, g):
     out = tmp_path / "r"
     assert cli_main(["fig4", "--g-over-j", g, "--out", str(out)]) == 2
@@ -330,3 +330,31 @@ def test_sweep_writes_failed_row(tmp_path, capsys, monkeypatch):
         "1,nan,nan,failed\n").encode()
     assert (out / "sweep_g0.1_series.csv").exists()
     assert not (out / "sweep_g1_series.csv").exists()
+
+
+@pytest.mark.parametrize("command, line, flags", [
+    ("evolve", "g = 1e308", []),
+    ("evolve", "g = 8e307", []),
+    ("evolve", "g = 1e160", ["--method", "dense"]),
+    ("evolve", "omega_a = -1e200", []),
+    ("modes", "j = 1e151", []),
+    ("sweep", "g_list = 1, 1e308", []),
+], ids=["g1e308", "g8e307", "dense-g1e160", "omega_a", "j", "g_list"])
+def test_energy_beyond_the_bound_is_config_error(tmp_path, capsys, command, line, flags):
+    # each of these once exited 0 with NaN or zero output, or failed after writing
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 11\n{line}\nsamples = 16\nt_max = 10\n")
+    out = tmp_path / "r"
+    assert cli_main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
+    key = line.split()[0]
+    assert f"config error: line 2: {key} must be at most 1e+150 in magnitude" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_fig3_snapshot_time_that_overflows_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert cli_main(["fig3", "--snapshot-times", "6.283185307179586,1e306",
+                     "--out", str(out)]) == 3
+    assert "error: snapshot time 1e+306/J is too large" in capsys.readouterr().err
+    assert not out.exists()

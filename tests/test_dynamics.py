@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -140,9 +142,9 @@ def test_weak_amplitudes_return_probability():
 def test_weak_propagator_matches_exact_envelope():
     params = ModelParams(41, coupling=1e-3)
     modes = mode_table(params)
-    weak = WeakCouplingPropagator(params, 21, modes)
-    assert weak.validity < 0.02
-    exact = AnalyticPropagator(params, modes)
+    weak = WeakCouplingPropagator(params)
+    assert weak.resonant_mode == 21 and weak.validity < 0.02
+    exact = AnalyticPropagator(params)
     state0 = initial_atomic_excitation(params, 21)
     for t in np.linspace(0.0, 2 * np.pi / params.coupling, 9):
         ps = weak.evolve(state0, t)
@@ -153,12 +155,6 @@ def test_weak_propagator_matches_exact_envelope():
         # closed-form amplitudes agree with the propagator itself
         ca = weak_coupling_amplitudes(21, t, modes, 21)
         assert np.abs(ps[41:] - ca).max() <= 1e-10
-
-
-def test_weak_propagator_resonant_mode_range():
-    params = ModelParams(5, coupling=0.01)
-    with pytest.raises(ValueError):
-        WeakCouplingPropagator(params, 6)
 
 
 def test_strong_amplitudes_envelope():
@@ -173,9 +169,9 @@ def test_strong_amplitudes_envelope():
 def test_strong_propagator_tracks_exact():
     params = ModelParams(21, coupling=1e3)
     modes = mode_table(params)
-    strong = StrongCouplingPropagator(params, modes)
+    strong = StrongCouplingPropagator(params)
     assert strong.validity < 0.01
-    exact = AnalyticPropagator(params, modes)
+    exact = AnalyticPropagator(params)
     state0 = initial_atomic_excitation(params, 11)
     for t in np.arange(1, 6) * (np.pi / params.coupling) * 100:
         ps = strong.evolve(state0, t)
@@ -268,6 +264,24 @@ def test_make_propagator_dispatch():
         make_propagator("magic", params)
 
 
+@pytest.mark.parametrize("atom_freq", [0.0, 1.0, -0.37, 1.9])
+def test_weak_propagator_picks_the_mode_closest_to_resonance(atom_freq):
+    for n in range(2, 201):
+        params = ModelParams(n, coupling=1e-3, atom_freq=atom_freq)
+        # the lowest mode index whose |delta_k| is within 1e-12 of the smallest
+        detuning = np.abs(atom_freq + 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
+        expected = 1 + min(k for k in range(n) if detuning[k] <= detuning.min() + 1e-12)
+        assert WeakCouplingPropagator(params).resonant_mode == expected, n
+
+
+def test_mode_propagators_are_built_from_the_model_alone():
+    assert list(inspect.signature(make_propagator).parameters) == ["method", "params"]
+    for cls in (AnalyticPropagator, WeakCouplingPropagator, StrongCouplingPropagator):
+        assert list(inspect.signature(cls).parameters) == ["params"]
+    assert "__init__" not in vars(WeakCouplingPropagator)
+    assert "__init__" not in vars(StrongCouplingPropagator)
+
+
 def test_weak_propagator_dresses_the_resonant_mode():
     # omega_a = 1 J is resonant with mode 28 of N = 41, not the band center
     params = ModelParams(41, coupling=1e-3, atom_freq=1.0)
@@ -311,3 +325,20 @@ def test_evolve_atoms_only_is_the_atomic_half(method, n):
         atoms = prop.evolve(state0, t, atoms_only=True)
         assert atoms.shape == full[..., n:].shape
         assert np.array_equal(atoms, full[..., n:])
+
+
+@pytest.mark.parametrize("size", [1.3e154, 1e160, 1e300, np.inf])
+def test_jacobi_refuses_a_matrix_whose_norm_overflows(size):
+    # an overflowing norm made the convergence test pass before any rotation
+    h = build_hamiltonian(ModelParams(5, coupling=1.0))
+    h[h != 0] *= size
+    with pytest.raises(ValueError, match="norm"):
+        jacobi_eigh(h)
+    with pytest.raises(ValueError, match="norm"):
+        DenseOraclePropagator(h)
+
+
+def test_jacobi_still_solves_entries_just_below_the_overflow():
+    h = build_hamiltonian(ModelParams(5, coupling=1.0))
+    w, v = jacobi_eigh(h * 2.0**500)
+    assert np.array_equal(w, jacobi_eigh(h)[0] * 2.0**500)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from jchsim import experiments
-from jchsim.dynamics import TimeGrid, make_propagator
-from jchsim.entanglement import binary_entropy, running_max_map
+from jchsim.dynamics import AnalyticPropagator, TimeGrid, make_propagator
+from jchsim.entanglement import binary_entropy, concurrence_map, running_max_map
 from jchsim.experiments import (
     ExperimentSpec,
     center_site,
@@ -104,6 +104,21 @@ def test_fig3_off_resonant_flag():
     assert snaps[0].off_resonant
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fig3_maps_match_the_scalar_full_state_path(monkeypatch, workers):
+    # each snapshot is evolved as a one-row time array, which rounds as a scalar t does
+    monkeypatch.setattr(experiments, "worker_count", lambda: workers)
+    params = ModelParams(n_cavities=101, hopping=1.0, coupling=1e3)
+    state0 = initial_atomic_excitation(params, 51)
+    prop = AnalyticPropagator(params)
+    times = [2000.0 * np.pi / 1e3, 5000.0 * np.pi / 1e3, 10000.0 * np.pi / 1e3]
+    snaps = run_fig3() + run_fig3([2000.5 * np.pi / 1e3])
+    assert [snap.off_resonant for snap in snaps] == [False, False, False, True]
+    for snap, t in zip(snaps, times + [2000.5 * np.pi / 1e3]):
+        assert snap.time == t
+        assert np.array_equal(snap.values, concurrence_map(prop.evolve(state0, t)))
+
+
 def test_fig4_grid_snapped():
     g = 10.0
     times = fig4_grid(g)
@@ -175,7 +190,7 @@ def test_time_chunks_cover_the_grid_with_no_short_chunk():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_map_chunks_keeps_order_and_uses_the_pool(monkeypatch, workers):
     monkeypatch.setattr(experiments, "worker_count", lambda: workers)
-    results = experiments.map_chunks(lambda rows: (rows, threading.get_ident()), 2000)
+    results = experiments.map_chunks(lambda rows: (rows, threading.get_ident()), time_chunks(2000))
     assert [rows for rows, _ in results] == time_chunks(2000)
     on_main = {ident == threading.get_ident() for _, ident in results}
     assert on_main == {workers == 1}

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from jchsim.linalg import jacobi_eigh
 from jchsim.model import (
     ATOM,
+    MAX_ENERGY,
     PHOTON,
     ModelParams,
     build_hamiltonian,
@@ -11,6 +13,7 @@ from jchsim.model import (
     norm,
     site_of,
 )
+from jchsim.spectral import mode_table
 
 
 def test_params_validation():
@@ -105,3 +108,25 @@ def test_decoupled_atom_is_stationary():
     state = prop.evolve(state0, 5.3)
     expected = np.exp(-1j * 0.8 * 5.3) * state0
     assert np.abs(state - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("field", ["hopping", "coupling", "cavity_freq", "atom_freq"])
+def test_params_bound_every_energy(field):
+    ModelParams(n_cavities=5, **{field: MAX_ENERGY})
+    with pytest.raises(ValueError, match="at most 1e\\+150 in magnitude"):
+        ModelParams(n_cavities=5, **{field: 1.01 * MAX_ENERGY})
+    if field.endswith("freq"):
+        with pytest.raises(ValueError, match="at most"):
+            ModelParams(n_cavities=5, **{field: -1.01 * MAX_ENERGY})
+
+
+def test_energies_at_the_bound_give_finite_tables_and_spectra():
+    # g = 8e307 once overflowed the branch weights to an all-zero table
+    params = ModelParams(5, hopping=MAX_ENERGY, coupling=MAX_ENERGY, atom_freq=-MAX_ENERGY)
+    mt = mode_table(params)
+    for name in ("rabi", "a_plus", "a_minus", "b_plus", "b_minus", "eps_plus", "eps_minus"):
+        assert np.all(np.isfinite(getattr(mt, name))), name
+    assert np.allclose(mt.a_plus**2 + mt.b_plus**2, 1.0)
+    w = jacobi_eigh(build_hamiltonian(params))[0]
+    assert np.allclose(w, np.sort(np.concatenate([mt.eps_plus, mt.eps_minus])),
+                       rtol=0, atol=1e-12 * MAX_ENERGY)
