@@ -169,11 +169,11 @@ def fmt(x) -> str:
 def write_csv(path, header, columns):
     """Write equal-length ``columns`` under ``header`` as one CSV file.
 
-    Numbers go through ``fmt``, so an integer-valued float such as a site
-    label prints as an integer and NaN as ``nan``; a column of strings is
-    written as given.  Raises ValueError before the file is opened when the
-    header does not name every column, the columns differ in length or they
-    are empty.
+    Numbers are rendered as ``fmt`` renders them, through one ``%.17g``
+    template per row, so an integer-valued float such as a site label prints
+    as an integer and NaN as ``nan``; a column of strings is written as
+    given.  Raises ValueError before the file is opened when the header does
+    not name every column, the columns differ in length or they are empty.
     """
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} header fields for {len(columns)} columns")
@@ -181,8 +181,9 @@ def write_csv(path, header, columns):
     if len(lengths) != 1 or 0 in lengths:
         raise ValueError(f"columns must be equal in length and non-empty, got {sorted(lengths)}")
     values = [np.asarray(column).tolist() for column in columns]
-    cells = [v if isinstance(v[0], str) else [fmt(x) for x in v] for v in values]
-    rows = [",".join(header), *map(",".join, zip(*cells))]
+    # one template per row: "%.17g" renders a number exactly as fmt does
+    template = ",".join("%s" if isinstance(v[0], str) else "%.17g" for v in values)
+    rows = [",".join(header), *(template % row for row in zip(*values))]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
 

@@ -3,13 +3,16 @@
 One solver lives here so that the oracle paths do not share code with the
 closed-form physics they are meant to check: a Jacobi eigensolver for real
 symmetric matrices in round-robin (parallel) order, vectorized one round of
-disjoint rotations at a time.  It serves both oracles: the dense propagator
-diagonalizes the Hamiltonian with it, and the Wootters concurrence takes the
-eigenvalues of Hermitian 4x4 matrices through their real symmetric 8x8 forms.
+disjoint rotations at a time through buffers allocated once per call.  It
+serves both oracles: the dense propagator diagonalizes the Hamiltonian with
+it, and the Wootters concurrence takes the eigenvalues of Hermitian 4x4
+matrices through their real symmetric 8x8 forms.
 
 It calls no LAPACK eigen-routine (``numpy.linalg.eig*``): the oracles are
 meant to stay independent of the library solvers they may be compared with.
 """
+
+import functools
 
 import numpy as np
 
@@ -28,10 +31,12 @@ def jacobi_eigh(a: np.ndarray):
     Each sweep visits every (p, q) pair once in round-robin (Brent-Luk
     parallel) order: a round holds up to n/2 disjoint pairs, and with n odd
     one index sits out each round.  The disjoint rotations of a round commute,
-    so they are applied together as one vectorized row, column and
-    eigenvector update.  Sweeps repeat until the off-diagonal Frobenius norm
-    drops below ``_JACOBI_TOL`` relative to the matrix norm.  Returns
-    (eigenvalues ascending, eigenvectors as columns).
+    so they are applied together as one vectorized column, row and
+    eigenvector update.  Each update gathers the p and q slices into buffers
+    allocated once per call, combines them there and scatters them back, so
+    no round allocates an array of the matrix's size.  Sweeps repeat until
+    the off-diagonal Frobenius norm drops below ``_JACOBI_TOL`` relative to
+    the matrix norm.  Returns (eigenvalues ascending, eigenvectors as columns).
 
     No LAPACK eigen-routine is used, so the oracle stays independent of the
     library eigensolvers it may be compared with.
@@ -51,40 +56,94 @@ def jacobi_eigh(a: np.ndarray):
     if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
         raise ValueError("matrix is not symmetric")
     n = a.shape[0]
-    vecs = np.eye(n)
     if scale == 0.0 or n == 1:
         order = np.argsort(np.diag(a))
-        return np.diag(a)[order], vecs[:, order]
+        return np.diag(a)[order], np.eye(n)[:, order]
     # rotations with |a_pq| below this cannot affect the converged result
     skip = 0.01 * _JACOBI_TOL * scale / n
-    rounds = _round_robin(n)
+    rounds = _schedule(n)
+    flat, diag = a.reshape(-1), np.diagonal(a)
+    # the eigenvectors are rotated as rows, which gather and scatter faster
+    vt = np.eye(n)
+    # Round temporaries of this size would sit above malloc's mmap threshold,
+    # so a fresh process would map and fault them in anew on every round.
+    store = np.empty((2, n * 2 * (n // 2)))
+    buffers = {}
+    off = np.empty_like(a)
 
     for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= _JACOBI_TOL * scale:
+        np.copyto(off, a)  # a with its diagonal zeroed, for the off-diagonal norm
+        np.fill_diagonal(off, 0.0)
+        if np.linalg.norm(off) <= _JACOBI_TOL * scale:
+            # the columns in C order: _rayleigh_refine's sums round by layout
+            vecs = vt.T.copy()
             w = _rayleigh_refine(original, vecs)
             order = np.argsort(w, kind="stable")
             return w[order], vecs[:, order]
-        for p, q in rounds:
-            apq = a[p, q]
+        for p, q, apq_at, pq, qp, zeroed in rounds:
+            apq = flat[apq_at]
             keep = np.abs(apq) > skip
             if not keep.all():
                 if not keep.any():
                     continue
                 p, q, apq = p[keep], q[keep], apq[keep]
-            theta = 0.5 * (a[q, q] - a[p, p]) / apq
+                pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
+                zeroed = pq * n + qp
+            theta = 0.5 * (diag[q] - diag[p]) / apq
             t = np.sign(theta) / (np.abs(theta) + np.hypot(theta, 1.0))
             t[theta == 0.0] = 1.0
             c = 1.0 / np.sqrt(t * t + 1.0)
             s = t * c
             # new (x_p, x_q) = (c x_p - s x_q, s x_p + c x_q), all pairs at once
-            pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
             cc, ss = np.concatenate((c, c)), np.concatenate((-s, s))
-            a[:, pq] = cc * a[:, pq] + ss * a[:, qp]
-            a[pq, :] = cc[:, None] * a[pq, :] + ss[:, None] * a[qp, :]
-            a[pq, qp] = 0.0
-            vecs[:, pq] = cc * vecs[:, pq] + ss * vecs[:, qp]
+            m = len(pq)
+            if m not in buffers:
+                buffers[m] = ([b[: n * m].reshape(n, m) for b in store],
+                              [b[: n * m].reshape(m, n) for b in store])
+            columns, rows = buffers[m]
+            _rotate(a, pq, qp, cc, ss, 1, columns)
+            cc, ss = cc[:, None], ss[:, None]
+            _rotate(a, pq, qp, cc, ss, 0, rows)
+            flat[zeroed] = 0.0
+            _rotate(vt, pq, qp, cc, ss, 0, rows)
     raise ConvergenceError(f"Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
+
+
+def _rotate(x, pq, qp, cc, ss, axis, buffers):
+    """Set x_pq to cc * x_pq + ss * x_qp along ``axis`` (0: rows, 1: columns).
+
+    Both gathers land in ``buffers``, two C-contiguous arrays of the gathered
+    shape; the sum forms in the first, which is scattered back.  ``cc`` and
+    ``ss`` broadcast against them.
+    """
+    x_pq, x_qp = buffers
+    x.take(pq, axis, x_pq, "clip")
+    x.take(qp, axis, x_qp, "clip")
+    np.multiply(x_pq, cc, x_pq)
+    np.multiply(x_qp, ss, x_qp)
+    np.add(x_pq, x_qp, x_pq)
+    if axis:
+        x[:, pq] = x_pq
+    else:
+        x[pq] = x_pq
+
+
+@functools.lru_cache(maxsize=64)
+def _schedule(n: int) -> tuple:
+    """The rounds of ``_round_robin(n)`` with the indices their updates use.
+
+    Each round is p, q, the flat indices of its a_pq, p and q joined both
+    ways (p then q, q then p), and the flat indices of its a_pq and a_qp.
+    The arrays are read-only, as every solve of size n shares them.
+    """
+    rounds = []
+    for p, q in _round_robin(n):
+        pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
+        arrays = (p, q, p * n + q, pq, qp, pq * n + qp)
+        for x in arrays:
+            x.setflags(write=False)
+        rounds.append(arrays)
+    return tuple(rounds)
 
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -176,3 +176,19 @@ def test_map_csv_rejects_non_square(tmp_path):
     with pytest.raises(ValueError):
         io.write_map_csv(np.zeros((3, 5)), path)
     assert not path.exists()
+
+
+def test_write_csv_template_matches_fmt(tmp_path):
+    path = tmp_path / "table.csv"
+    floats = [np.nan, np.inf, -np.inf, -0.0, 0.0, 201.0, -3.0, 1e-300, 5e-324, 0.1,
+              1.0 / 3.0, 1e17, 2.0**53 + 2, -1.7976931348623157e308]
+    ints = [2**53 + 1, 2**63 - 1, -(2**60) - 1, 0, 7, 1, 2, 3, 4, 5, 6, 8, 9, 10]
+    bools = [True, False] * 7
+    labels = [f"s{i}" for i in range(len(floats))]
+    columns = [floats, np.array(ints, dtype=np.int64), np.array(bools), labels, np.array(floats)]
+    io.write_csv(path, ["f", "i", "b", "s", "g"], columns)
+    cells = [[io.fmt(x) for x in floats], [io.fmt(x) for x in ints],
+             [io.fmt(x) for x in bools], labels, [io.fmt(x) for x in floats]]
+    expected = "f,i,b,s,g\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
+    assert path.read_text() == expected
+    assert "-0," in expected and "9007199254740992," in expected and "1e-300," in expected

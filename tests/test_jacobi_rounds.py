@@ -1,0 +1,108 @@
+"""The buffered Jacobi rounds against the gather-based solver they replaced.
+
+``jacobi_reference`` holds the earlier solver verbatim; the rounds now rotate
+through buffers allocated once per call and must return the same bits.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import jacobi_reference as ref
+import jchsim
+from jchsim import entanglement
+from jchsim.entanglement import concurrence_wootters_oracle, reduce_to_pair
+from jchsim.linalg import jacobi_eigh
+from jchsim.model import ModelParams, build_hamiltonian
+
+
+def assert_same_bits(a):
+    w, v = jacobi_eigh(a)
+    w_ref, v_ref = ref.jacobi_eigh(a)
+    assert np.array_equal(w, w_ref) and w.tobytes() == w_ref.tobytes()
+    assert np.array_equal(v, v_ref) and v.tobytes() == v_ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 8, 17, 32])
+@pytest.mark.parametrize("g, omega_a", [(0.0, 0.0), (1.0, 0.3), (97.3, 0.0)],
+                         ids=["g0", "detuned", "g97.3"])
+def test_jch_hamiltonians_bit_identical(n, g, omega_a):
+    assert_same_bits(build_hamiltonian(ModelParams(n, coupling=g, atom_freq=omega_a)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 31])
+def test_random_symmetric_bit_identical(n):
+    x = np.random.default_rng(100 + n).standard_normal((n, n))
+    assert_same_bits(x + x.T)
+
+
+def test_layout_sensitive_case_bit_identical():
+    # this matrix's refined eigenvalues move in the last place when
+    # _rayleigh_refine is handed the eigenvectors as a transposed view
+    # rather than as a C-ordered array
+    x = np.random.default_rng(5).standard_normal((64, 64))
+    assert_same_bits(x + x.T)
+
+
+def test_wootters_real_forms_bit_identical(monkeypatch):
+    seen = []
+
+    def record(a):
+        seen.append(np.array(a, dtype=float))
+        return jacobi_eigh(a)
+
+    monkeypatch.setattr(entanglement, "jacobi_eigh", record)
+    rng = np.random.default_rng(11)
+    for n in (2, 5, 12):
+        state = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        state /= np.linalg.norm(state)
+        concurrence_wootters_oracle(reduce_to_pair(state, 1, n))
+    for p in (0.2, 0.9):
+        werner = (1 - p) / 4 * np.eye(4, dtype=complex)
+        werner[1:3, 1:3] += p * np.array([[0.5, -0.5], [-0.5, 0.5]])
+        concurrence_wootters_oracle(werner)
+    assert len(seen) == 10 and all(m.shape == (8, 8) for m in seen)
+    for m in seen:
+        assert_same_bits(m)
+
+
+def test_partly_skipped_rounds_bit_identical():
+    # two uncoupled blocks: a round rotates the pairs inside a block and skips
+    # the pairs across, so some rounds keep only part of their pairs
+    rng = np.random.default_rng(5)
+    a = np.zeros((9, 9))
+    for block in (slice(0, 4), slice(4, 9)):
+        x = rng.standard_normal((9, 9))[block, block]
+        a[block, block] = x + x.T
+    partial = [0 < np.count_nonzero(a[p, q]) < len(p) for p, q in ref._round_robin(9)]
+    assert any(partial)
+    assert_same_bits(a)
+
+
+_FAULTS = """
+import resource
+from jchsim.linalg import jacobi_eigh
+from jchsim.model import ModelParams, build_hamiltonian
+h = build_hamiltonian(ModelParams(96, coupling=1.0))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+jacobi_eigh(h)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_fresh_process_solve_faults_few_pages():
+    # per-round temporaries of the 192 x 192 solve would be mapped and faulted
+    # in afresh on every round of a new process (about 790k minor faults)
+    pytest.importorskip("resource")
+    src = str(Path(jchsim.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _FAULTS], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    faults = int(done.stdout)
+    print(f"minor faults in a fresh-process 2N = 192 solve: {faults}")
+    assert faults < 50_000
