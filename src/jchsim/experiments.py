@@ -8,6 +8,7 @@ no weight at x0 and nothing propagates.
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,16 +111,30 @@ def map_chunks(fn, chunks) -> list:
 
     numpy releases the GIL inside BLAS and its ufunc loops, so the chunks
     overlap.  Each call must touch only its own rows; the results come back
-    in chunk order, so nothing depends on the number of workers.  One chunk
-    or one CPU runs in the calling thread.
+    in chunk order, so nothing depends on the number of workers, and the first
+    failed chunk's exception is raised.  One chunk or one CPU runs in the caller.
     """
     workers = min(worker_count(), len(chunks))
     if workers <= 1:
         return [fn(rows) for rows in chunks]
-    from concurrent.futures import ThreadPoolExecutor
+    results, errors, claims = [None] * len(chunks), {}, iter(range(len(chunks)))
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
+    def work():  # the workers claim chunk indices from one shared iterator
+        for k in claims:
+            try:
+                results[k] = fn(chunks[k])
+            except BaseException as exc:  # raised in the caller
+                errors[k] = exc
+                return
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def evolve_chunks(method, params, x0, times, fn, chunks=None) -> list:
@@ -203,7 +218,9 @@ def fig4_grid(g_over_j: float) -> np.ndarray:
     """
     times = np.arange(0.0, 90.0 + 1e-12, 0.05)
     period = math.pi / g_over_j
-    return np.unique(np.round(times / period) * period)
+    # the snapped grid never decreases, so dropping repeats is np.unique (no numpy.ma)
+    snapped = np.round(times / period) * period
+    return snapped[np.concatenate(([True], snapped[1:] != snapped[:-1]))]
 
 
 def run_fig4(g_over_j: float) -> np.ndarray:

@@ -2,11 +2,11 @@
 
 One solver lives here so that the oracle paths do not share code with the
 closed-form physics they are meant to check: a Jacobi eigensolver for real
-symmetric matrices in round-robin (parallel) order, vectorized one round of
-disjoint rotations at a time through buffers allocated once per call.  It
-serves both oracles: the dense propagator diagonalizes the Hamiltonian with
-it, and the Wootters concurrence takes the eigenvalues of Hermitian 4x4
-matrices through their real symmetric 8x8 forms.
+symmetric matrices in round-robin (parallel) order, each round of disjoint
+rotations one in-place update x <- c x + s x[partner] per axis.  It serves both
+oracles: the dense propagator diagonalizes the Hamiltonian with it, and the
+Wootters concurrence takes the eigenvalues of Hermitian 4x4 matrices through
+their real symmetric 8x8 forms.
 
 It calls no LAPACK eigen-routine (``numpy.linalg.eig*``): the oracles are
 meant to stay independent of the library solvers they may be compared with.
@@ -23,6 +23,7 @@ class ConvergenceError(RuntimeError):
 
 _JACOBI_TOL = 1e-13
 _JACOBI_MAX_SWEEPS = 100
+_SIGNS = np.array([[-1.0], [1.0]])  # -s for p, s for q
 
 
 def jacobi_eigh(a: np.ndarray):
@@ -31,15 +32,13 @@ def jacobi_eigh(a: np.ndarray):
     Each sweep visits every (p, q) pair once in round-robin (Brent-Luk
     parallel) order: a round holds up to n/2 disjoint pairs, and with n odd
     one index sits out each round.  The disjoint rotations of a round commute,
-    so they are applied together as one vectorized column, row and
-    eigenvector update.  Each update gathers the p and q slices into buffers
-    allocated once per call, combines them there and scatters them back, so
-    no round allocates an array of the matrix's size.  Sweeps repeat until
+    so they are applied together to the columns of a, its rows and the rows
+    of the eigenvectors, each as one in-place x <- c x + s x[partner] over the
+    whole matrix: partner swaps p and q, and an index that sits out and a
+    skipped pair turn by cos 1 and sin 0, so no round branches on its kept
+    pairs or allocates an array of the matrix's size.  Sweeps repeat until
     the off-diagonal Frobenius norm drops below ``_JACOBI_TOL`` relative to
     the matrix norm.  Returns (eigenvalues ascending, eigenvectors as columns).
-
-    No LAPACK eigen-routine is used, so the oracle stays independent of the
-    library eigensolvers it may be compared with.
 
     Raises ValueError if the matrix norm is not finite (entries of about
     1.3e154 and up overflow it, and the convergence test would then pass at
@@ -63,13 +62,14 @@ def jacobi_eigh(a: np.ndarray):
     skip = 0.01 * _JACOBI_TOL * scale / n
     rounds = _schedule(n)
     flat, diag = a.reshape(-1), np.diagonal(a)
-    # the eigenvectors are rotated as rows, which gather and scatter faster
+    # the eigenvectors are rotated as rows, whose partner gather copies whole rows
     vt = np.eye(n)
-    # Round temporaries of this size would sit above malloc's mmap threshold,
-    # so a fresh process would map and fault them in anew on every round.
-    store = np.empty((2, n * 2 * (n // 2)))
-    buffers = {}
-    off = np.empty_like(a)
+    # the partner gather, the off-diagonal copy and the cos/sin planes of every round
+    taken, off, planes = np.empty_like(a), np.empty_like(a), np.empty((2, n, n))
+    cos, sin = planes
+    # (c, c, 1) over (-s, s, 0) for the n // 2 pairs of a round, spread by the schedule
+    coef = np.array([[1.0], [0.0]]).repeat(2 * (n // 2) + 1, axis=1)
+    cc, ss = (row[:-1].reshape(2, -1) for row in coef)
 
     for _ in range(_JACOBI_MAX_SWEEPS):
         np.copyto(off, a)  # a with its diagonal zeroed, for the off-diagonal norm
@@ -80,89 +80,71 @@ def jacobi_eigh(a: np.ndarray):
             w = _rayleigh_refine(original, vecs)
             order = np.argsort(w, kind="stable")
             return w[order], vecs[:, order]
-        for p, q, apq_at, pq, qp, zeroed in rounds:
-            apq = flat[apq_at]
+        for p, q, zeroed, partner, spread in rounds:
+            apq = flat[zeroed[0]]
             keep = np.abs(apq) > skip
-            if not keep.all():
-                if not keep.any():
-                    continue
-                p, q, apq = p[keep], q[keep], apq[keep]
-                pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
-                zeroed = pq * n + qp
-            theta = 0.5 * (diag[q] - diag[p]) / apq
+            if not keep.any():
+                continue
+            # a skipped pair turns by cos 1 and sin 0; its a_pq = 1 only keeps theta finite
+            theta = 0.5 * (diag[q] - diag[p]) / np.where(keep, apq, 1.0)
             t = np.sign(theta) / (np.abs(theta) + np.hypot(theta, 1.0))
             t[theta == 0.0] = 1.0
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            # new (x_p, x_q) = (c x_p - s x_q, s x_p + c x_q), all pairs at once
-            cc, ss = np.concatenate((c, c)), np.concatenate((-s, s))
-            m = len(pq)
-            if m not in buffers:
-                buffers[m] = ([b[: n * m].reshape(n, m) for b in store],
-                              [b[: n * m].reshape(m, n) for b in store])
-            columns, rows = buffers[m]
-            _rotate(a, pq, qp, cc, ss, 1, columns)
-            cc, ss = cc[:, None], ss[:, None]
-            _rotate(a, pq, qp, cc, ss, 0, rows)
-            flat[zeroed] = 0.0
-            _rotate(vt, pq, qp, cc, ss, 0, rows)
+            c = np.where(keep, 1.0 / np.sqrt(t * t + 1.0), 1.0)
+            cc[:] = c
+            np.multiply(np.where(keep, t * c, 0.0), _SIGNS, ss)
+            # new (x_p, x_q) = (c x_p - s x_q, s x_p + c x_q); an index that sits out keeps x
+            cs = coef.take(spread, 1)
+            np.copyto(planes, cs[:, None, :])  # cos[i, j] = c of column j
+            _rotate(a, partner, 1, cos, sin, taken)
+            np.copyto(planes, cs[:, :, None])  # cos[i, j] = c of row i, for both row passes
+            _rotate(a, partner, 0, cos, sin, taken)
+            flat[zeroed.compress(keep, 1)] = 0.0
+            _rotate(vt, partner, 0, cos, sin, taken)
     raise ConvergenceError(f"Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
 
 
-def _rotate(x, pq, qp, cc, ss, axis, buffers):
-    """Set x_pq to cc * x_pq + ss * x_qp along ``axis`` (0: rows, 1: columns).
+def _rotate(x, partner, axis, cos, sin, taken):
+    """Set x to cos * x + sin * x.take(partner, axis) in place (axis 0: rows, 1: columns).
 
-    Both gathers land in ``buffers``, two C-contiguous arrays of the gathered
-    shape; the sum forms in the first, which is scattered back.  ``cc`` and
-    ``ss`` broadcast against them.
+    ``cos`` and ``sin`` have the shape of x; the gather lands in ``taken``.  Every
+    index is turned: one left alone has cos 1 and sin 0, and x * 1 + y * 0 is x
+    for every finite y (a -0.0 may come back as +0.0).
     """
-    x_pq, x_qp = buffers
-    x.take(pq, axis, x_pq, "clip")
-    x.take(qp, axis, x_qp, "clip")
-    np.multiply(x_pq, cc, x_pq)
-    np.multiply(x_qp, ss, x_qp)
-    np.add(x_pq, x_qp, x_pq)
-    if axis:
-        x[:, pq] = x_pq
-    else:
-        x[pq] = x_pq
+    x.take(partner, axis, taken, "clip")
+    np.multiply(x, cos, x)
+    np.multiply(taken, sin, taken)
+    np.add(x, taken, x)
 
 
 @functools.lru_cache(maxsize=64)
 def _schedule(n: int) -> tuple:
-    """The rounds of ``_round_robin(n)`` with the indices their updates use.
-
-    Each round is p, q, the flat indices of its a_pq, p and q joined both
-    ways (p then q, q then p), and the flat indices of its a_pq and a_qp.
-    The arrays are read-only, as every solve of size n shares them.
-    """
-    rounds = []
-    for p, q in _round_robin(n):
-        pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
-        arrays = (p, q, p * n + q, pq, qp, pq * n + qp)
-        for x in arrays:
-            x.setflags(write=False)
-        rounds.append(arrays)
-    return tuple(rounds)
-
-
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pair schedule of one Jacobi sweep: each round as index arrays (p, q), p < q.
+    """One Jacobi sweep in round-robin order, each round with the indices its update uses.
 
     Circle method: index 0 stays put while the others rotate one place per
     round, and position i meets position m-1-i.  For odd n a phantom index n
     pads the circle to even m, and its partner sits the round out.
+
+    Each round is its pairs p < q, the flat indices of a_pq (row 0) and a_qp
+    (row 1), the partner permutation (p <-> q, an index that sits out to
+    itself) and the slots that spread (c, c, 1) and (-s, s, 0) of its k pairs
+    onto the n indices: i for p_i, k + i for q_i, 2k to sit out.  The arrays
+    are read-only, as every solve of size n shares them.
     """
-    m = n + n % 2
-    ring = np.arange(1, m)
-    rounds = []
-    for r in range(m - 1):
-        seats = np.concatenate(([0], np.roll(ring, r)))
-        left, right = seats[: m // 2], seats[::-1][: m // 2]
-        real = (left < n) & (right < n)
-        p, q = np.minimum(left, right)[real], np.maximum(left, right)[real]
-        rounds.append((p, q))
-    return rounds
+    m, k = n + n % 2, n // 2
+    # round r seats index 0, then 1..m-1 rotated r places (np.roll of the ring)
+    shift = np.arange(m - 1)[:, None]
+    seats = np.concatenate((np.zeros_like(shift), 1 + (np.arange(m - 1) - shift) % (m - 1)), 1)
+    left, right = seats[:, : m // 2], seats[:, ::-1][:, : m // 2]
+    real = (left < n) & (right < n)  # every round has k real pairs
+    p = np.minimum(left, right)[real].reshape(m - 1, k)
+    q = np.maximum(left, right)[real].reshape(m - 1, k)
+    partner, spread = np.tile(np.arange(n), (m - 1, 1)), np.full((m - 1, n), 2 * k)
+    partner[shift, p], partner[shift, q] = q, p
+    spread[shift, p], spread[shift, q] = np.arange(k), np.arange(k, 2 * k)
+    arrays = (p, q, np.stack((p * n + q, q * n + p), axis=1), partner, spread)
+    for x in arrays:
+        x.setflags(write=False)
+    return tuple(zip(*arrays))
 
 
 def _rayleigh_refine(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:

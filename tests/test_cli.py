@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -358,3 +361,27 @@ def test_fig3_snapshot_time_that_overflows_writes_nothing(tmp_path, capsys):
                      "--out", str(out)]) == 3
     assert "error: snapshot time 1e+306/J is too large" in capsys.readouterr().err
     assert not out.exists()
+
+
+_IMPORTS = """
+import sys
+from jchsim.cli import cli_main
+out, cfg = sys.argv[1], sys.argv[2]
+for argv in (["fig4", "--g-over-j", "10"], ["evolve", "--config", cfg, "--method", "analytic"],
+             ["evolve", "--config", cfg, "--method", "dense"]):
+    assert cli_main([*argv, "--out", out]) == 0, argv
+print(" ".join(m for m in ("concurrent.futures", "numpy.ma") if m in sys.modules))
+"""
+
+
+def test_commands_import_neither_futures_nor_numpy_ma(tmp_path):
+    # importing concurrent.futures (with logging) costs a pooled command 7-9 ms, and
+    # numpy.ma, which np.unique imports, costs fig4 15-18 ms; 600 samples make 2 chunks
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 12\ng = 1\nsamples = 600\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", _IMPORTS, str(tmp_path / "out"), str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert done.stdout.splitlines()[-1] == ""

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import tracemalloc
@@ -187,13 +188,33 @@ def test_time_chunks_cover_the_grid_with_no_short_chunk():
         assert max(sizes) < experiments.CHUNK_ROWS + experiments.MIN_CHUNK_ROWS
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_map_chunks_keeps_order_and_uses_the_pool(monkeypatch, workers):
     monkeypatch.setattr(experiments, "worker_count", lambda: workers)
     results = experiments.map_chunks(lambda rows: (rows, threading.get_ident()), time_chunks(2000))
     assert [rows for rows, _ in results] == time_chunks(2000)
     on_main = {ident == threading.get_ident() for _, ident in results}
     assert on_main == {workers == 1}
+
+
+def test_map_chunks_raises_a_worker_exception(monkeypatch):
+    monkeypatch.setattr(experiments, "worker_count", lambda: 3)
+
+    def fail_one(rows):
+        if rows.start == 5 * experiments.CHUNK_ROWS:
+            raise ValueError("chunk 5 failed")
+        return rows
+
+    with pytest.raises(ValueError, match="chunk 5 failed"):
+        experiments.map_chunks(fail_one, time_chunks(3000))
+
+
+@pytest.mark.parametrize("g_over_j", [1e-3, 0.5, 1.07, 10.0, 97.3, 1e3, 1e150])
+def test_fig4_grid_equals_unique_of_the_snapped_grid(g_over_j):
+    period = math.pi / g_over_j
+    snapped = np.round(np.arange(0.0, 90.0 + 1e-12, 0.05) / period) * period
+    grid, unique = fig4_grid(g_over_j), np.unique(snapped)
+    assert grid.dtype == unique.dtype and grid.tobytes() == unique.tobytes()
 
 
 def _unchunked_series(spec):

@@ -1,12 +1,14 @@
-"""The buffered Jacobi rounds against the gather-based solver they replaced.
+"""The partner-permutation Jacobi rounds against the gather-based solver they replaced.
 
-``jacobi_reference`` holds the earlier solver verbatim; the rounds now rotate
-through buffers allocated once per call and must return the same bits.
+``jacobi_reference`` holds the earlier solver verbatim.  Each round now turns
+the whole matrix in place, x <- c x + s x[partner], with cos 1 and sin 0 for
+skipped pairs and the index that sits out, and must return the same bits.
 """
 
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +83,35 @@ def test_partly_skipped_rounds_bit_identical():
     partial = [0 < np.count_nonzero(a[p, q]) < len(p) for p, q in ref._round_robin(9)]
     assert any(partial)
     assert_same_bits(a)
+
+
+def assert_same_bits_without_warnings(a):
+    # a divide or invalid-value warning would mean a skipped pair reached theta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_bits(a)
+
+
+def test_oracle_size_chain_bit_identical():
+    # 2N = 192, the dense oracle's size; its first sweep skips the pairs with a_pq == 0
+    h = build_hamiltonian(ModelParams(96, coupling=1.0))
+    assert any(0 < np.count_nonzero(h[p, q]) < len(p) for p, q in ref._round_robin(192))
+    assert_same_bits_without_warnings(h)
+
+
+def test_odd_size_with_an_index_sitting_out_bit_identical():
+    x = np.random.default_rng(101).standard_normal((101, 101))
+    assert_same_bits_without_warnings(x + x.T)
+
+
+def test_real_form_with_negative_zeros_bit_identical():
+    # a real density matrix's real form [[Re, -Im], [Im, Re]] holds -0.0 in its -Im block
+    x = np.random.default_rng(8).standard_normal((4, 4))
+    rho = (x @ x.T).astype(complex)
+    rho /= np.trace(rho)
+    form = np.block([[rho.real, -rho.imag], [rho.imag, rho.real]])
+    assert np.any((form == 0.0) & np.signbit(form))
+    assert_same_bits_without_warnings(form)
 
 
 _FAULTS = """
