@@ -13,15 +13,13 @@ from .dynamics import (
     weak_coupling_amplitudes,
 )
 from .entanglement import (
-    atom_field_entropy,
-    concurrence_closed_form,
     concurrence_map,
     concurrence_wootters_oracle,
     reduce_to_pair,
     running_max_map,
 )
 from .experiments import ExperimentSpec, run_fig2, run_fig3, run_fig4, run_sweep
-from .model import ModelParams, build_hamiltonian, initial_atomic_excitation, norm
+from .model import ModelParams, build_hamiltonian, initial_atomic_excitation
 from .spectral import ModeTable, eigenstate_vector, mode_table
 
 __all__ = [
@@ -33,10 +31,8 @@ __all__ = [
     "StrongCouplingPropagator",
     "TimeGrid",
     "WeakCouplingPropagator",
-    "atom_field_entropy",
     "build_hamiltonian",
     "build_polariton_hamiltonian",
-    "concurrence_closed_form",
     "concurrence_map",
     "concurrence_wootters_oracle",
     "eigenstate_vector",
@@ -44,7 +40,6 @@ __all__ = [
     "initial_atomic_excitation",
     "make_propagator",
     "mode_table",
-    "norm",
     "reduce_to_pair",
     "run_fig2",
     "run_fig3",

@@ -103,7 +103,7 @@ def _spec(cfg, name, g) -> ExperimentSpec:
         name=name,
         params=dataclasses.replace(cfg.model_params(), coupling=g),
         x0=cfg.x0 if cfg.x0 is not None else center_site(cfg.n),
-        grid=TimeGrid(cfg.t_start, cfg.t_max, cfg.samples),
+        grid=TimeGrid(0.0, cfg.t_max, cfg.samples),
         method=cfg.method,
         pairs=tuple(cfg.pairs),
     )

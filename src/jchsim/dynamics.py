@@ -40,8 +40,8 @@ class TimeGrid:
     n_samples: int
 
     def __post_init__(self):
-        if self.t_start < 0 or self.t_end < self.t_start:
-            raise ValueError("need t_end >= t_start >= 0")
+        if not (0 <= self.t_start <= self.t_end and np.isfinite(self.t_end)):
+            raise ValueError("need finite t_end >= t_start >= 0")
         if self.n_samples < 2:
             raise ValueError("need at least 2 samples")
 

@@ -6,8 +6,6 @@ C_ij = 2|c_{a,i}||c_{a,j}|; the generic spin-flip (Wootters) computation is
 kept as an independent oracle for it.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import jacobi_eigh
@@ -27,15 +25,6 @@ _SIGMA_YY = np.array(
 )
 
 
-@dataclass(frozen=True)
-class BipartiteEntropy:
-    """Total atomic/photonic probabilities and their binary entropy (base 2)."""
-
-    pi_a: float
-    pi_f: float
-    entropy: float
-
-
 def binary_entropy(p):
     """-p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0; elementwise, a float for a scalar p."""
     p = np.asarray(p, dtype=float)
@@ -52,30 +41,16 @@ def atomic_amplitudes(state: np.ndarray) -> np.ndarray:
     return state[..., n:]
 
 
-def atom_field_entropy(state: np.ndarray) -> BipartiteEntropy:
-    """Von Neumann entropy between the atomic ensemble and the field."""
-    pi_a = float(np.sum(np.abs(atomic_amplitudes(state)) ** 2))
-    return BipartiteEntropy(pi_a=pi_a, pi_f=1.0 - pi_a, entropy=binary_entropy(pi_a))
-
-
-def _pair_amplitudes(state, i, j):
-    ca = atomic_amplitudes(state)
-    n = len(ca)
-    if i == j:
-        raise ValueError("need two distinct sites")
-    for s in (i, j):
-        if not 1 <= s <= n:
-            raise ValueError(f"site {s} out of range [1, {n}]")
-    return ca[i - 1], ca[j - 1]
-
-
 def reduce_to_pair(state: np.ndarray, i: int, j: int) -> np.ndarray:
     """Two-atom reduced density matrix over {|gg>, |ge>, |eg>, |ee>}.
 
     In the single-excitation sector the |ee> population is exactly zero and
     only the single-excitation central block carries coherence.
     """
-    ci, cj = _pair_amplitudes(state, i, j)
+    ca = atomic_amplitudes(state)
+    if i == j or not (1 <= i <= len(ca) and 1 <= j <= len(ca)):
+        raise ValueError(f"need two distinct sites in [1, {len(ca)}], got {i} and {j}")
+    ci, cj = ca[i - 1], ca[j - 1]
     pi, pj = abs(ci) ** 2, abs(cj) ** 2
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0 - pi - pj
@@ -89,12 +64,6 @@ def reduce_to_pair(state: np.ndarray, i: int, j: int) -> np.ndarray:
 def pair_concurrence(mag_i, mag_j):
     """C_ij = 2 |c_{a,i}| |c_{a,j}| from the two atomic magnitudes; elementwise."""
     return 2.0 * mag_i * mag_j
-
-
-def concurrence_closed_form(state: np.ndarray, i: int, j: int) -> float:
-    """C_ij = 2 |c_{a,i}| |c_{a,j}|."""
-    ci, cj = _pair_amplitudes(state, i, j)
-    return float(pair_concurrence(abs(ci), abs(cj)))
 
 
 def _real_form(h: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import MAX_ENERGY, ModelParams
+from .model import MAX_ENERGY, MAX_ENERGY_TIME, ModelParams
 
 
 class ConfigError(ValueError):
@@ -27,7 +27,6 @@ class RunConfig:
     omega_a: float = 0.0
     x0: int | None = None
     method: str = "analytic"
-    t_start: float = 0.0
     t_max: float = 50.0
     samples: int = 501
     pairs: list = field(default_factory=list)
@@ -47,7 +46,7 @@ class RunConfig:
 
 
 _METHODS = ("analytic", "dense", "weak", "strong")
-_FLOATS = ("j", "g", "omega_c", "omega_a", "t_start", "t_max", "scale_max")
+_FLOATS = ("j", "g", "omega_c", "omega_a", "t_max", "scale_max")
 _FLOAT_LISTS = ("snapshot_times", "g_list")
 _ENERGIES = ("j", "g", "omega_c", "omega_a", "g_list")
 
@@ -119,8 +118,8 @@ def parse_config(text: str, flags=()) -> RunConfig:
 def validate(cfg: RunConfig, sources):
     """Raise ConfigError at the first bad value, citing its source from ``sources``.
 
-    n = 0 stands for an unset size: the presets fix their own, so x0 and
-    pairs are checked against n only once it is set.
+    n = 0 stands for an unset size: the presets fix their own sizes and times,
+    so x0, pairs and the bound on max|E| * t_max are checked only once n is set.
     """
     def fail(key, message):
         where = f"{sources[key]}: " if key in sources else ""
@@ -142,8 +141,13 @@ def validate(cfg: RunConfig, sources):
         fail("x0", f"x0 must be in [1, {cfg.n}], got {cfg.x0}")
     if cfg.samples < 2:
         fail("samples", f"samples must be >= 2, got {cfg.samples}")
-    if cfg.t_max < cfg.t_start or cfg.t_start < 0:
-        fail("t_max", "need t_max >= t_start >= 0")
+    if cfg.t_max < 0:
+        fail("t_max", f"need t_max >= 0, got {cfg.t_max}")
+    # Gershgorin: photon rows sit within 2J + g of omega_c, atom rows within g of omega_a
+    e_max = max(abs(cfg.omega_c) + 2.0 * cfg.j, abs(cfg.omega_a)) + max([cfg.g, *cfg.g_list])
+    if cfg.n != 0 and e_max * cfg.t_max > MAX_ENERGY_TIME:
+        fail("t_max", f"max|E| * t_max must be at most {MAX_ENERGY_TIME:g}, got "
+                      f"{e_max:g} * {cfg.t_max:g}: the phases E t lose accuracy beyond it")
     if cfg.scale_max <= 0:
         fail("scale_max", f"scale_max must be > 0, got {cfg.scale_max}")
     for i, j in cfg.pairs:

@@ -16,6 +16,10 @@ ATOM = "atom"
 # times it (hypot(delta_k + Omega_k, 2g) in the mode table), so the bound sits
 # far below sqrt(DBL_MAX) ~ 1.34e154.
 MAX_ENERGY = 1e150
+# largest max|E| * t_max a config run accepts.  The phases E t are reduced in a long
+# double, and the analytic and dense sum over x of |c_x|^2 then differ by about
+# 4e-17 |E| t, which passes 1e-10 near |E| t = 2.5e6 (measured at N = 11, 16, 24).
+MAX_ENERGY_TIME = 1e6
 
 
 @dataclass(frozen=True)
@@ -62,15 +66,6 @@ def flat_index(kind: str, site: int, n_cavities: int) -> int:
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
-def site_of(index: int, n_cavities: int) -> tuple[str, int]:
-    """Inverse of :func:`flat_index`; returns (kind, 1-based site)."""
-    if not 0 <= index < 2 * n_cavities:
-        raise ValueError(f"index {index} out of range [0, {2 * n_cavities})")
-    if index < n_cavities:
-        return PHOTON, index + 1
-    return ATOM, index - n_cavities + 1
-
-
 def build_hamiltonian(params: ModelParams) -> np.ndarray:
     """Assemble the 2N x 2N single-excitation Hamiltonian (real symmetric).
 
@@ -95,8 +90,3 @@ def initial_atomic_excitation(params: ModelParams, x0: int) -> np.ndarray:
     state = np.zeros(params.dim, dtype=complex)
     state[flat_index(ATOM, x0, params.n_cavities)] = 1.0
     return state
-
-
-def norm(state: np.ndarray) -> float:
-    """Euclidean norm of an amplitude vector."""
-    return float(np.linalg.norm(state))

@@ -38,11 +38,6 @@ def ramp_colors(values, scale_max: float):
     return "#" + _HEX[rgb[..., 0]] + _HEX[rgb[..., 1]] + _HEX[rgb[..., 2]]
 
 
-def ramp_color(value: float, scale_max: float) -> str:
-    """Linear dark-to-bright color over [0, scale_max]; higher values clip."""
-    return ramp_colors(float(value), scale_max)
-
-
 def _escape(text: str) -> str:
     """Escape character data as XML text content."""
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -144,7 +139,7 @@ def render_heatmap_svg(values: np.ndarray, path, scale_max: float = 0.25, title:
     _write(path, parts)
 
 
-def render_lines_svg(times, curves, path, title: str = "", ylabel: str = ""):
+def render_lines_svg(times, curves, path, title: str = ""):
     """Render labelled curves over a common time axis.
 
     ``curves`` is a sequence of (label, values) with values aligned to
@@ -190,10 +185,6 @@ def render_lines_svg(times, curves, path, title: str = "", ylabel: str = ""):
                            f'text-anchor="end" {_AXIS}', f"{v:.3g}"))
     parts.append(_text(f'x="{margin_l + pw / 2:.1f}" y="{height - 12:.1f}" '
                        f'text-anchor="middle" {_AXIS}', "t J"))
-    if ylabel:
-        parts.append(_text(f'x="16" y="{margin_t + ph / 2:.1f}" '
-                           f'transform="rotate(-90 16 {margin_t + ph / 2:.1f})" '
-                           f'text-anchor="middle" {_AXIS}', ylabel))
 
     xs = [f"{x:.2f}," for x in sx(times).tolist()]
     for idx, (label, vals) in enumerate(curves):

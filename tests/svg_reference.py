@@ -110,7 +110,7 @@ def render_heatmap_svg(values: np.ndarray, path, scale_max: float = 0.25, title:
     ET.ElementTree(svg).write(path, encoding="unicode", xml_declaration=True)
 
 
-def render_lines_svg(times, curves, path, title: str = "", ylabel: str = ""):
+def render_lines_svg(times, curves, path, title: str = ""):
     """Render labelled curves over a common time axis.
 
     ``curves`` is a sequence of (label, values) with values aligned to
@@ -157,10 +157,6 @@ def render_lines_svg(times, curves, path, title: str = "", ylabel: str = ""):
                       **{"text-anchor": "end"}, **axis_style).text = f"{v:.3g}"
     ET.SubElement(svg, "text", x=f"{margin_l + pw / 2:.1f}", y=f"{height - 12:.1f}",
                   **{"text-anchor": "middle"}, **axis_style).text = "t J"
-    if ylabel:
-        ET.SubElement(svg, "text", x="16", y=f"{margin_t + ph / 2:.1f}",
-                      transform=f"rotate(-90 16 {margin_t + ph / 2:.1f})",
-                      **{"text-anchor": "middle"}, **axis_style).text = ylabel
 
     for idx, (label, vals) in enumerate(curves):
         color = _LINE_COLORS[idx % len(_LINE_COLORS)]

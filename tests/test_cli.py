@@ -61,6 +61,9 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, line):
     ["evolve", "--t-max", "inf"],
     ["evolve", "--samples", "1"],
     ["evolve", "--t-max", "-3"],
+    # max|E| * t_max = 2.5e300: these exited 0 with analytic and dense disagreeing
+    ["evolve", "--t-max", "1e300"],
+    ["evolve", "--t-max", "1e300", "--method", "dense"],
     ["sweep", "--samples", "1"],
     ["fig4", "--g-over-j", "10", "--scale-max", "nan"],
 ], ids=" ".join)

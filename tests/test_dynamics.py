@@ -27,6 +27,10 @@ def test_time_grid_validation():
         TimeGrid(2.0, 1.0, 10)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 1.0, 1)
+    # TimeGrid(0, inf, 5).times was [nan, inf, ...], and nan passed both checks
+    for t_start, t_end in [(0.0, np.inf), (np.nan, np.nan), (0.0, np.nan), (np.nan, 1.0)]:
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(t_start, t_end, 5)
 
 
 def test_analytic_identity_at_t0():

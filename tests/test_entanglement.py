@@ -3,11 +3,11 @@ import pytest
 
 from jchsim.dynamics import AnalyticPropagator
 from jchsim.entanglement import (
-    atom_field_entropy,
+    atomic_amplitudes,
     binary_entropy,
-    concurrence_closed_form,
     concurrence_map,
     concurrence_wootters_oracle,
+    pair_concurrence,
     reduce_to_pair,
     running_max_map,
 )
@@ -39,31 +39,35 @@ def test_binary_entropy_array_matches_scalar_formula():
 
 def test_entropy_of_initial_excitation():
     params = ModelParams(9, coupling=0.3)
-    ent = atom_field_entropy(initial_atomic_excitation(params, 4))
-    assert ent.pi_a == 1.0
-    assert ent.pi_f == 0.0
-    assert ent.entropy == 0.0
+    pi_a = np.sum(np.abs(atomic_amplitudes(initial_atomic_excitation(params, 4))) ** 2)
+    assert pi_a == 1.0
+    assert 1.0 - pi_a == 0.0
+    assert binary_entropy(pi_a) == 0.0
 
 
 def test_entropy_half_split():
     state = np.zeros(8, dtype=complex)
     state[0] = state[4] = 1.0 / np.sqrt(2.0)
-    ent = atom_field_entropy(state)
-    assert abs(ent.pi_a - 0.5) <= 1e-15
-    assert abs(ent.entropy - 1.0) <= 1e-12
+    pi_a = np.sum(np.abs(atomic_amplitudes(state)) ** 2)
+    assert abs(pi_a - 0.5) <= 1e-15
+    assert abs(binary_entropy(pi_a) - 1.0) <= 1e-12
 
 
 def test_entropy_invariances():
     rng = np.random.default_rng(2)
     state = random_state(rng, 12)
-    base = atom_field_entropy(state).entropy
+
+    def entropy(s):
+        return binary_entropy(np.sum(np.abs(atomic_amplitudes(s)) ** 2))
+
+    base = entropy(state)
     # global phase
-    assert atom_field_entropy(np.exp(1.3j) * state).entropy == pytest.approx(base, abs=1e-14)
+    assert entropy(np.exp(1.3j) * state) == pytest.approx(base, abs=1e-14)
     # permutation of atomic amplitudes
     for _ in range(5):
         shuffled = state.copy()
         shuffled[12:] = rng.permutation(shuffled[12:])
-        assert atom_field_entropy(shuffled).entropy == pytest.approx(base, abs=1e-14)
+        assert entropy(shuffled) == pytest.approx(base, abs=1e-14)
 
 
 def test_reduce_to_pair_basic():
@@ -106,8 +110,8 @@ def test_reduced_matrices_along_trajectory():
 def test_closed_form_examples():
     state = np.zeros(6, dtype=complex)
     state[3] = state[4] = 1.0 / np.sqrt(2.0)
-    assert abs(concurrence_closed_form(state, 1, 2) - 1.0) <= 1e-15
-    assert concurrence_closed_form(state, 1, 3) == 0.0
+    assert abs(concurrence_map(state)[0, 1] - 1.0) <= 1e-15
+    assert concurrence_map(state)[0, 2] == 0.0
 
 
 def test_weak_regime_peak_concurrences():
@@ -118,8 +122,8 @@ def test_weak_regime_peak_concurrences():
     modes = mode_table(params)
     ca = weak_coupling_amplitudes(21, np.pi / params.coupling, modes, 21)
     state = np.concatenate([np.zeros(41, dtype=complex), ca])
-    assert abs(concurrence_closed_form(state, 21, 33) - 76.0 / 441.0) <= 1e-10
-    assert abs(concurrence_closed_form(state, 31, 33) - 8.0 / 441.0) <= 1e-10
+    assert abs(concurrence_map(state)[20, 32] - 76.0 / 441.0) <= 1e-10
+    assert abs(concurrence_map(state)[30, 32] - 8.0 / 441.0) <= 1e-10
 
 
 def test_wootters_trivial_cases():
@@ -145,7 +149,7 @@ def test_wootters_matches_closed_form():
         state = random_state(rng, n)
         i, j = rng.choice(np.arange(1, n + 1), size=2, replace=False)
         i, j = int(i), int(j)
-        closed = concurrence_closed_form(state, i, j)
+        closed = concurrence_map(state)[i - 1, j - 1]
         oracle = concurrence_wootters_oracle(reduce_to_pair(state, i, j))
         assert abs(closed - oracle) <= 1e-10
 
@@ -191,7 +195,7 @@ def test_concurrence_bounded_by_atomic_probability():
     rng = np.random.default_rng(9)
     for _ in range(50):
         state = random_state(rng, 8)
-        pi_a = atom_field_entropy(state).pi_a
+        pi_a = np.sum(np.abs(atomic_amplitudes(state)) ** 2)
         cmap = concurrence_map(state)
         assert cmap.max() <= pi_a + 1e-12
 
@@ -204,7 +208,8 @@ def test_concurrence_map_structure():
     cmap = concurrence_map(state)
     assert np.array_equal(cmap, cmap.T)
     assert np.abs(np.diag(cmap)).max() == 0.0
-    assert cmap[1, 4] == pytest.approx(concurrence_closed_form(state, 2, 5), abs=1e-15)
+    ca = atomic_amplitudes(state)
+    assert cmap[1, 4] == pytest.approx(pair_concurrence(abs(ca[1]), abs(ca[4])), abs=1e-15)
 
 
 def test_running_max_map():

@@ -42,6 +42,28 @@ def test_parse_config_bad_number():
 def test_parse_config_unknown_key():
     with pytest.raises(ConfigError, match="line 2.*unknown key"):
         parse_config("n = 5\nbogus = 1")
+    with pytest.raises(ConfigError, match="line 1: unknown key 't_start'"):
+        parse_config("t_start = 0")
+
+
+@pytest.mark.parametrize("text, ok", [
+    ("n = 11\ng = 1\nt_max = 333333", True),  # max|E| = 2J + g = 3
+    ("n = 11\ng = 1\nt_max = 333334", False),
+    ("n = 11\nomega_a = 1e4\nt_max = 100", True),  # |omega_a| + g
+    ("n = 11\nomega_a = 1e4\nt_max = 101", False),
+    ("n = 11\nomega_c = -1e4\nt_max = 99.98", True),  # |omega_c| + 2J
+    ("n = 11\nomega_c = -1e4\nt_max = 100", False),
+    ("n = 11\ng_list = 0.1, 1e5\nt_max = 9.99", True),  # 2J + the largest g_list entry
+    ("n = 11\ng_list = 0.1, 1e5\nt_max = 10", False),
+    ("g = 1e5\nt_max = 50", True),  # no n: a preset fixes its own times
+], ids=["g", "g-over", "omega_a", "omega_a-over", "omega_c", "omega_c-over",
+        "g_list", "g_list-over", "no-n"])
+def test_energy_time_bound(text, ok):
+    if ok:
+        parse_config(text)
+    else:
+        with pytest.raises(ConfigError, match="line 3: max.E. . t_max must be at most 1e.06"):
+            parse_config(text)
 
 
 def test_parse_config_constraint_with_line_number():

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 import svg_reference as ref
-from jchsim.svg import ramp_color, ramp_colors, render_heatmap_svg, render_lines_svg
+from jchsim.svg import ramp_colors, render_heatmap_svg, render_lines_svg
 
 
 def test_ramp_endpoints_and_clipping():
-    assert ramp_color(0.0, 0.25) == "#080828"
-    assert ramp_color(0.25, 0.25) == "#fffac8"
-    assert ramp_color(9.0, 0.25) == ramp_color(0.25, 0.25)
-    assert ramp_color(-1.0, 0.25) == ramp_color(0.0, 0.25)
-    assert ramp_color(0.125, 0.25) == "#c85014"
+    assert ramp_colors(0.0, 0.25) == "#080828"
+    assert ramp_colors(0.25, 0.25) == "#fffac8"
+    assert ramp_colors(9.0, 0.25) == ramp_colors(0.25, 0.25)
+    assert ramp_colors(-1.0, 0.25) == ramp_colors(0.0, 0.25)
+    assert ramp_colors(0.125, 0.25) == "#c85014"
 
 
 def test_heatmap_is_valid_xml(tmp_path):
@@ -28,7 +28,7 @@ def test_all_zero_map_uniform_darkest(tmp_path):
     render_heatmap_svg(np.zeros((4, 4)), path)
     root = ET.parse(path).getroot()
     ns = "{http://www.w3.org/2000/svg}"
-    darkest = ramp_color(0.0, 0.25)
+    darkest = ramp_colors(0.0, 0.25)
     # the 16 grid cells (fractional coordinates) are all darkest
     cells = [r for r in root.iter(f"{ns}rect")
              if r.get("width") == r.get("height") and "." in r.get("x")]
@@ -73,7 +73,7 @@ def test_lines_svg(tmp_path):
     times = np.linspace(0.0, 10.0, 50)
     path = tmp_path / "lines.svg"
     render_lines_svg(times, [("S", np.sin(times) ** 2), ("Pi_a", np.cos(times) ** 2)],
-                     path, title="demo", ylabel="obs")
+                     path, title="demo")
     root = ET.parse(path).getroot()
     ns = "{http://www.w3.org/2000/svg}"
     polylines = list(root.iter(f"{ns}polyline"))
@@ -127,16 +127,15 @@ def test_heatmap_bytes_match_etree_reference_on_channel_half_points(tmp_path):
     _assert_heatmap_bytes(tmp_path, values, scale_max=scale_max)
 
 
-@pytest.mark.parametrize("title, ylabel", [("", ""), ("demo & <x>", ""), ("", "obs"),
-                                           ("N=9, g=0.5J", "C_ij > 0")])
-def test_lines_bytes_match_etree_reference(tmp_path, title, ylabel):
+@pytest.mark.parametrize("title", ["", "demo & <x>", "N=9, g=0.5J"])
+def test_lines_bytes_match_etree_reference(tmp_path, title):
     times = np.linspace(0.0, 12.5, 301)
     labels = ["S", "Pi_a", "C_2_5", "", "a & b", "<c>", "C_9_12"]  # 7 wraps the colours
     curves = [(label, np.sin((k + 1) * times) * (0.5 + 0.1 * k) - 0.05 * k)
               for k, label in enumerate(labels)]
     new, old = tmp_path / "new.svg", tmp_path / "old.svg"
-    render_lines_svg(times, curves, new, title=title, ylabel=ylabel)
-    ref.render_lines_svg(times, curves, old, title=title, ylabel=ylabel)
+    render_lines_svg(times, curves, new, title=title)
+    ref.render_lines_svg(times, curves, old, title=title)
     assert new.read_bytes() == old.read_bytes()
 
 
@@ -147,8 +146,8 @@ def test_array_ramp_equals_scalar_ramp():
     values[:4] = [np.inf, -np.inf, 0.0, 0.5 * scale_max]
     colours = ramp_colors(values, scale_max).tolist()
     assert colours == [ref.ramp_color(v, scale_max) for v in values.tolist()]
-    every_50th = slice(None, None, 50)  # ramp_color costs one numpy pass per call
-    assert [ramp_color(v, scale_max) for v in values[every_50th]] == colours[every_50th]
+    every_50th = slice(None, None, 50)  # a scalar costs one numpy pass per call
+    assert [ramp_colors(v, scale_max) for v in values[every_50th]] == colours[every_50th]
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4,), (0, 0)], ids=str)
