@@ -19,6 +19,7 @@ from . import io as jio
 from . import svg
 from .dynamics import TimeGrid
 from .experiments import (
+    FIG3_COUPLING,
     ExperimentSpec,
     center_site,
     compute_series,
@@ -29,6 +30,7 @@ from .experiments import (
 )
 from .io import ConfigError
 from .linalg import ConvergenceError
+from .model import MAX_ENERGY_TIME
 from .spectral import mode_table
 
 
@@ -109,6 +111,13 @@ def _spec(cfg, name, g) -> ExperimentSpec:
     )
 
 
+def _check_energy_time(flag, g, t_max):
+    """validate's bound on max|E| * t, for a preset at J = 1 and coupling g: max|E| <= 2 + g."""
+    if (2.0 + g) * t_max > MAX_ENERGY_TIME:
+        raise ConfigError(f"{flag}: max|E| * t must be at most {MAX_ENERGY_TIME:g}, got "
+                          f"{2.0 + g:g} * {t_max:g}: the phases E t lose accuracy beyond it")
+
+
 def _cmd_modes(cfg):
     modes = mode_table(cfg.model_params())
     path = _outdir(cfg) / "modes.csv"
@@ -131,7 +140,8 @@ def _cmd_fig2(cfg):
 
 
 def _cmd_fig3(cfg):
-    snapshots = run_fig3(cfg.snapshot_times or None)
+    snapshots = run_fig3(cfg.snapshot_times or None)  # exits 3 first if a t * g overflows
+    _check_energy_time("--snapshot-times", FIG3_COUPLING, max(s.time for s in snapshots))
     out = _outdir(cfg)
     for snap in snapshots:
         if snap.off_resonant:
@@ -145,6 +155,7 @@ def _cmd_fig3(cfg):
 def _cmd_fig4(cfg):
     if cfg.g <= 0:
         raise ConfigError(f"--g-over-j: the coupling must be > 0, got {cfg.g:g}")
+    _check_energy_time("--g-over-j", cfg.g, 90.0)
     _map_artifacts(run_fig4(cfg.g), _outdir(cfg) / f"fig4_g{cfg.g:g}_maxmap", cfg.scale_max,
                    f"max C_ij, g = {cfg.g:g} J, tJ in [0, 90]")
     return 0

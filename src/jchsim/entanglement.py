@@ -113,14 +113,14 @@ def running_max_map(states) -> np.ndarray:
 def max_concurrence_map(ca) -> np.ndarray:
     """Elementwise maximum of the concurrence map over the rows of ``ca``.
 
-    ``ca`` holds atomic amplitudes, one time per row, shape (T, N); the result
-    is N x N, symmetric, with a zero diagonal.
+    ``ca`` holds atomic amplitudes, one time per row, shape (T, N); the result is N x N with
+    a zero diagonal and exactly symmetric, as doubling is exact: each pair is reduced once.
     """
     mags = np.abs(np.asarray(ca))
     if len(mags) == 0:
         raise ValueError("empty state series")
-    best = pair_concurrence(mags[0, :, None], mags[0])
-    for row in mags[1:]:
-        np.maximum(best, pair_concurrence(row[:, None], row), out=best)
-    np.fill_diagonal(best, 0.0)
-    return best
+    sites = np.ascontiguousarray(mags.T)  # one site per row
+    best = np.zeros((len(sites), len(sites)))
+    for i in range(len(sites) - 1):
+        pair_concurrence(sites[i], sites[i + 1:]).max(axis=1, out=best[i, i + 1:])
+    return np.maximum(best, best.T)

@@ -25,6 +25,7 @@ CHUNK_ROWS = 256
 # a shorter tail joins the chunk before it: a 1-row product takes gemv, not gemm,
 # and rounds differently
 MIN_CHUNK_ROWS = 8
+FIG3_COUPLING = 1e3
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def run_fig3(snapshot_times=None) -> list[SnapshotMap]:
     is back; anything else is flagged (not rejected) since the map contrast is
     simply reduced.
     """
-    g = 1e3
+    g = FIG3_COUPLING
     params = ModelParams(n_cavities=101, hopping=1.0, coupling=g)
     if snapshot_times is None:
         snapshot_times = [2000.0 * math.pi / g, 5000.0 * math.pi / g, 10000.0 * math.pi / g]

@@ -207,8 +207,11 @@ def write_series_csv(series, path):
 
 def write_map_csv(values, path):
     """N x N concurrence map as CSV: the 1-based site, then one column per site."""
+    # each distinct bit pattern (-0.0 and 0.0 differ) is formatted once, as fmt does
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    text = np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)
     sites = np.arange(1, len(values) + 1)
-    write_csv(path, ["site", *map(str, sites)], [sites, *np.transpose(values)])
+    write_csv(path, ["site", *map(str, sites)], [sites, *text[inverse.reshape(np.shape(values))].T])
 
 
 def write_modes_csv(modes, path):

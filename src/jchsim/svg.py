@@ -13,7 +13,6 @@ import numpy as np
 
 # dark-to-bright ramp: near-black, ember, pale yellow
 _RAMP = np.array([(8, 8, 40), (200, 80, 20), (255, 250, 200)])
-_HEX = np.array([f"{i:02x}" for i in range(256)], dtype=object)
 
 _LINE_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -34,8 +33,10 @@ def ramp_colors(values, scale_max: float):
     upper = (u >= 0.5).astype(int)
     w = np.where(upper, (u - 0.5) * 2.0, u * 2.0)[..., None]
     lo, hi = _RAMP[upper], _RAMP[upper + 1]
-    rgb = np.round(lo + (hi - lo) * w).astype(int)
-    return "#" + _HEX[rgb[..., 0]] + _HEX[rgb[..., 1]] + _HEX[rgb[..., 2]]
+    rgb = np.round(lo + (hi - lo) * w).astype(int) @ [0x10000, 0x100, 1]
+    codes, inverse = np.unique(rgb, return_inverse=True)  # each distinct colour is named once
+    names = np.array([f"#{code:06x}" for code in codes.tolist()], dtype=object)
+    return names[inverse.reshape(rgb.shape)]
 
 
 def _escape(text: str) -> str:
@@ -105,12 +106,11 @@ def render_heatmap_svg(values: np.ndarray, path, scale_max: float = 0.25, title:
     bar_fills = ramp_colors((np.arange(steps) + 0.5) / steps * scale_max, scale_max)
 
     parts = [_head(width, height, title, margin_l + plot / 2)]
-    # row i -> site i+1, drawn bottom-up
-    xs = [f'<rect x="{margin_l + j * cell:.3f}" y="' for j in range(n)]
-    tail = f'" width="{cell:.3f}" height="{cell:.3f}" fill="'
+    # row i -> site i+1, drawn bottom-up: the row's y joins the pieces into its template
+    pieces = "".join(f'<rect x="{margin_l + j * cell:.3f}" y="\0" width="{cell:.3f}" '
+                     f'height="{cell:.3f}" fill="%s" />' for j in range(n)).split("\0")
     for i, row_fills in enumerate(fills):
-        y = f"{margin_t + plot - (i + 1) * cell:.3f}" + tail
-        parts += [x + y + fill + '" />' for x, fill in zip(xs, row_fills)]
+        parts.append(f"{margin_t + plot - (i + 1) * cell:.3f}".join(pieces) % tuple(row_fills))
 
     for site in _tick_positions(n):
         cx = margin_l + (site - 0.5) * cell

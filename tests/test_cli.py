@@ -270,6 +270,20 @@ def test_fig4_rejects_non_positive_coupling(tmp_path, capsys, g):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["fig3", "--snapshot-times", "314159.27"], "--snapshot-times"),
+    (["fig3", "--snapshot-times", "6.283185307179586,998.1"], "--snapshot-times"),
+    (["fig4", "--g-over-j", "1e5"], "--g-over-j"),
+    (["fig4", "--g-over-j", "11110"], "--g-over-j"),
+], ids=" ".join)
+def test_preset_energy_times_beyond_the_bound_are_config_errors(tmp_path, capsys, argv, flag):
+    # (2J + g) * t: 1002 * 998.1 and 11112 * 90 just exceed 1e6; 1002 * 998 and 11111 * 90 do not
+    out = tmp_path / "r"
+    assert cli_main([*argv, "--out", str(out)]) == 2
+    assert f"config error: {flag}: max|E| * t must be at most 1e+06" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("g_list", ["0.1, -1", "0.001, 0.0010000001"])
 def test_sweep_rejects_bad_g_list(tmp_path, capsys, g_list):
     cfg = tmp_path / "run.cfg"

@@ -214,3 +214,24 @@ def test_write_csv_template_matches_fmt(tmp_path):
     expected = "f,i,b,s,g\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
     assert path.read_text() == expected
     assert "-0," in expected and "9007199254740992," in expected and "1e-300," in expected
+
+
+@pytest.mark.parametrize("values", [
+    np.array([[0.0, 0.1, 0.1], [0.1, 0.0, 0.25], [0.1, 0.25, 0.0]]),
+    np.array([[-0.0, 0.0, -0.0], [0.0, 5e-324, 1e308], [1e308, -0.0, 5e-324]]),
+    np.array([[1.0 / 3.0, 0.2], [0.3, 1.0 / 3.0]]),
+    np.random.default_rng(3).choice([0.0, -0.0, 0.1, 2.0 / 3.0, 5e-324, 1e308], (9, 9)),
+], ids=["repeats", "signed-zeros-and-extremes", "non-symmetric", "random-repeats"])
+def test_map_csv_matches_per_cell_fmt(tmp_path, values):
+    path = tmp_path / "map.csv"
+    io.write_map_csv(values, path)
+    sites = range(1, len(values) + 1)
+    expected = "site," + ",".join(map(str, sites)) + "\n" + "".join(
+        f"{i}," + ",".join(io.fmt(x) for x in row) + "\n" for i, row in zip(sites, values))
+    assert path.read_text() == expected
+
+
+def test_map_csv_keeps_the_sign_of_zero(tmp_path):
+    path = tmp_path / "map.csv"
+    io.write_map_csv(np.array([[-0.0, 0.0], [0.0, -0.0]]), path)
+    assert path.read_text() == "site,1,2\n1,-0,0\n2,0,-0\n"
