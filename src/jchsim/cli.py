@@ -99,10 +99,10 @@ def _map_artifacts(values, stem, scale_max, title):
     _wrote(f"{stem}.svg")
 
 
-def _spec(cfg, name, g) -> ExperimentSpec:
+def _spec(cfg, g) -> ExperimentSpec:
     """The evolve/sweep run of the config at coupling g."""
     return ExperimentSpec(
-        name=name,
+        name=f"g{g:g}",
         params=dataclasses.replace(cfg.model_params(), coupling=g),
         x0=cfg.x0 if cfg.x0 is not None else center_site(cfg.n),
         grid=TimeGrid(0.0, cfg.t_max, cfg.samples),
@@ -111,11 +111,11 @@ def _spec(cfg, name, g) -> ExperimentSpec:
     )
 
 
-def _check_energy_time(flag, g, t_max):
-    """validate's bound on max|E| * t, for a preset at J = 1 and coupling g: max|E| <= 2 + g."""
+def _check_energy_time(cfg, key, g, t_max):
+    """validate's max|E| * t bound for a preset at J = 1 (max|E| <= 2 + g), citing key's source."""
     if (2.0 + g) * t_max > MAX_ENERGY_TIME:
-        raise ConfigError(f"{flag}: max|E| * t must be at most {MAX_ENERGY_TIME:g}, got "
-                          f"{2.0 + g:g} * {t_max:g}: the phases E t lose accuracy beyond it")
+        raise ConfigError(f"{cfg._sources[key]}: max|E| * t must be at most {MAX_ENERGY_TIME:g}, "
+                          f"got {2.0 + g:g} * {t_max:g}: the phases E t lose accuracy beyond it")
 
 
 def _cmd_modes(cfg):
@@ -127,7 +127,9 @@ def _cmd_modes(cfg):
 
 
 def _cmd_evolve(cfg):
-    series = compute_series(_spec(cfg, "evolve", cfg.g))
+    if cfg.t_max == 0:  # the plot needs a time axis; a sweep draws none
+        raise ConfigError(f"{cfg._sources['t_max']}: evolve needs t_max > 0 for its plot")
+    series = compute_series(_spec(cfg, cfg.g))
     _series_artifacts(series, _outdir(cfg), "evolve",
                       f"N={cfg.n}, g={cfg.g:g}J, method={cfg.method}")
     return 0
@@ -141,7 +143,7 @@ def _cmd_fig2(cfg):
 
 def _cmd_fig3(cfg):
     snapshots = run_fig3(cfg.snapshot_times or None)  # exits 3 first if a t * g overflows
-    _check_energy_time("--snapshot-times", FIG3_COUPLING, max(s.time for s in snapshots))
+    _check_energy_time(cfg, "snapshot_times", FIG3_COUPLING, max(s.time for s in snapshots))
     out = _outdir(cfg)
     for snap in snapshots:
         if snap.off_resonant:
@@ -155,7 +157,7 @@ def _cmd_fig3(cfg):
 def _cmd_fig4(cfg):
     if cfg.g <= 0:
         raise ConfigError(f"--g-over-j: the coupling must be > 0, got {cfg.g:g}")
-    _check_energy_time("--g-over-j", cfg.g, 90.0)
+    _check_energy_time(cfg, "g", cfg.g, 90.0)
     _map_artifacts(run_fig4(cfg.g), _outdir(cfg) / f"fig4_g{cfg.g:g}_maxmap", cfg.scale_max,
                    f"max C_ij, g = {cfg.g:g} J, tJ in [0, 90]")
     return 0
@@ -164,24 +166,23 @@ def _cmd_fig4(cfg):
 def _cmd_sweep(cfg):
     if not cfg.g_list:
         raise ConfigError("sweep needs a non-empty 'g_list' in the config")
-    outcomes = run_sweep([_spec(cfg, f"g{g:g}", g) for g in cfg.g_list])
+    results = run_sweep([_spec(cfg, g) for g in cfg.g_list])
     out = _outdir(cfg)
     rows = []
-    for g, outcome in zip(cfg.g_list, outcomes):
-        if outcome.ok:
-            series = outcome.series
-            path = out / f"sweep_{outcome.spec.name}_series.csv"
-            jio.write_series_csv(series, path)
-            _wrote(path)
-            rows.append((g, series.entropy.max(), series.pi_f.max(), "ok"))
-        else:
-            print(f"error: spec g={g:g} failed: {outcome.error}", file=sys.stderr)
+    for g, result in zip(cfg.g_list, results):
+        if isinstance(result, Exception):
+            print(f"error: spec g={g:g} failed: {result}", file=sys.stderr)
             rows.append((g, float("nan"), float("nan"), "failed"))
+        else:
+            path = out / f"sweep_g{g:g}_series.csv"
+            jio.write_series_csv(result, path)
+            _wrote(path)
+            rows.append((g, result.entropy.max(), result.pi_f.max(), "ok"))
     summary_path = out / "sweep_summary.csv"
     jio.write_csv(summary_path, ["g_over_j", "max_entropy", "max_pi_f", "status"],
                   list(zip(*rows)))
     _wrote(summary_path)
-    return 0 if all(o.ok for o in outcomes) else 3
+    return 3 if any(isinstance(result, Exception) for result in results) else 0
 
 
 # subcommand -> (runner, help, config keys it accepts as flags besides --out)

@@ -233,30 +233,15 @@ def run_fig4(g_over_j: float) -> np.ndarray:
     return np.maximum.reduce(maps)
 
 
-@dataclass
-class SweepOutcome:
-    """Result (or captured failure) of one spec in a batch run."""
-
-    spec: ExperimentSpec
-    series: ObservableSeries | None = None
-    error: Exception | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
+# the one place a failed coupling is caught; the benchmark tracer looks it up by name
+def run_one(spec: ExperimentSpec) -> ObservableSeries | Exception:
+    """compute_series(spec), or the exception it raised."""
+    try:
+        return compute_series(spec)
+    except Exception as exc:
+        return exc
 
 
-# kept as its own function: the benchmark tracer looks it up by name
-def run_one(spec: ExperimentSpec) -> SweepOutcome:
-    return SweepOutcome(spec=spec, series=compute_series(spec))
-
-
-def run_sweep(specs) -> list[SweepOutcome]:
-    """Run every spec independently; failures are captured, not raised."""
-    outcomes = []
-    for spec in specs:
-        try:
-            outcomes.append(run_one(spec))
-        except Exception as exc:  # aggregate per-spec failures
-            outcomes.append(SweepOutcome(spec=spec, error=exc))
-    return outcomes
+def run_sweep(specs) -> list[ObservableSeries | Exception]:
+    """[run_one(spec) for spec in specs]: each spec's series, or the exception it raised."""
+    return [run_one(spec) for spec in specs]

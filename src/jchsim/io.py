@@ -34,6 +34,8 @@ class RunConfig:
     g_list: list = field(default_factory=list)
     scale_max: float = 0.25
     out: str = "."
+    # the line or flag that set each key, for error messages; not itself a config key
+    _sources: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def model_params(self) -> ModelParams:
         """The model of this config; n = 0 stands for an unset size."""
@@ -89,7 +91,7 @@ def parse_config(text: str, flags=()) -> RunConfig:
     keys, unparsable values and constraint violations raise ConfigError
     naming the line or flag the value came from.
     """
-    known = {f.name for f in fields(RunConfig)}
+    known = {f.name for f in fields(RunConfig) if f.init}
     entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -102,7 +104,6 @@ def parse_config(text: str, flags=()) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
         entries.append((f"line {lineno}", key, raw))
     cfg = RunConfig()
-    sources = {}
     for source, key, raw in [*entries, *flags]:
         if key not in known:
             raise ConfigError(f"{source}: unknown key {key!r}")
@@ -110,19 +111,19 @@ def parse_config(text: str, flags=()) -> RunConfig:
             setattr(cfg, key, _parse_value(key, raw))
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"{source}: bad value for {key!r}: {exc}") from exc
-        sources[key] = source
-    validate(cfg, sources)
+        cfg._sources[key] = source
+    validate(cfg)
     return cfg
 
 
-def validate(cfg: RunConfig, sources):
-    """Raise ConfigError at the first bad value, citing its source from ``sources``.
+def validate(cfg: RunConfig):
+    """Raise ConfigError at the first bad value, citing the line or flag that set it.
 
     n = 0 stands for an unset size: the presets fix their own sizes and times,
     so x0, pairs and the bound on max|E| * t_max are checked only once n is set.
     """
     def fail(key, message):
-        where = f"{sources[key]}: " if key in sources else ""
+        where = f"{cfg._sources[key]}: " if key in cfg._sources else ""
         raise ConfigError(where + message)
 
     for key in _FLOATS + _FLOAT_LISTS:
@@ -133,8 +134,8 @@ def validate(cfg: RunConfig, sources):
             fail(key, f"{key} must be at most {MAX_ENERGY:g} in magnitude, got {getattr(cfg, key)}")
     if cfg.n != 0 and cfg.n < 2:
         fail("n", f"n must be >= 2, got {cfg.n}")
-    if cfg.j <= 0:
-        fail("j", f"j must be > 0, got {cfg.j}")
+    if not cfg.j >= 1 / MAX_ENERGY:  # the energy unit: the norm of H must not underflow
+        fail("j", f"j must be at least {1 / MAX_ENERGY:g}, got {cfg.j}")
     if cfg.g < 0:
         fail("g", f"g must be >= 0, got {cfg.g}")
     if cfg.n != 0 and cfg.x0 is not None and not 1 <= cfg.x0 <= cfg.n:

@@ -42,7 +42,9 @@ def jacobi_eigh(a: np.ndarray):
 
     Raises ValueError if the matrix norm is not finite (entries of about
     1.3e154 and up overflow it, and the convergence test would then pass at
-    once), and ConvergenceError if ``_JACOBI_MAX_SWEEPS`` sweeps do not converge.
+    once) or underflows to 0 for a nonzero matrix (entries below about
+    1.6e-162, which would otherwise come back unrotated), and ConvergenceError
+    if ``_JACOBI_MAX_SWEEPS`` sweeps do not converge.
     """
     original = np.asarray(a, dtype=float)
     a = original.copy()
@@ -52,6 +54,9 @@ def jacobi_eigh(a: np.ndarray):
         scale = np.linalg.norm(a)
     if not np.isfinite(scale):
         raise ValueError(f"matrix norm is {scale}: entries must be finite and below 1e154")
+    if scale == 0.0 and a.any():
+        raise ValueError("matrix norm underflows to 0 for a nonzero matrix: "
+                         "its largest entry must be at least about 1.6e-162")
     if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
         raise ValueError("matrix is not symmetric")
     n = a.shape[0]

@@ -14,7 +14,8 @@ ATOM = "atom"
 # largest |energy| a model accepts, in units of J.  Derived quantities reach the
 # square of an energy (the Frobenius norm of H in the Jacobi oracle) or several
 # times it (hypot(delta_k + Omega_k, 2g) in the mode table), so the bound sits
-# far below sqrt(DBL_MAX) ~ 1.34e154.
+# far below sqrt(DBL_MAX) ~ 1.34e154.  The hopping J, the energy unit, must be at
+# least 1 / MAX_ENERGY, so the norm of H cannot underflow either.
 MAX_ENERGY = 1e150
 # largest max|E| * t_max a config run accepts.  The phases E t are reduced in a long
 # double, and the analytic and dense sum over x of |c_x|^2 then differ by about
@@ -44,8 +45,8 @@ class ModelParams:
             if not abs(getattr(self, name)) <= MAX_ENERGY:
                 raise ValueError(f"{name} must be finite and at most {MAX_ENERGY:g} "
                                  f"in magnitude, got {getattr(self, name)}")
-        if not self.hopping > 0:
-            raise ValueError(f"hopping must be > 0, got {self.hopping}")
+        if not self.hopping >= 1 / MAX_ENERGY:
+            raise ValueError(f"hopping must be at least {1 / MAX_ENERGY:g}, got {self.hopping}")
         if self.coupling < 0:
             raise ValueError(f"coupling must be >= 0, got {self.coupling}")
 

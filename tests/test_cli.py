@@ -284,6 +284,15 @@ def test_preset_energy_times_beyond_the_bound_are_config_errors(tmp_path, capsys
     assert not out.exists()
 
 
+def test_fig3_bound_set_in_the_config_cites_its_line(tmp_path, capsys):
+    cfg = tmp_path / "f3.cfg"
+    cfg.write_text("snapshot_times = 314159.27\n")
+    out = tmp_path / "r"
+    assert cli_main(["fig3", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: line 1: max|E| * t must be at most 1e+06" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("g_list", ["0.1, -1", "0.001, 0.0010000001"])
 def test_sweep_rejects_bad_g_list(tmp_path, capsys, g_list):
     cfg = tmp_path / "run.cfg"
@@ -370,6 +379,28 @@ def test_energy_beyond_the_bound_is_config_error(tmp_path, capsys, command, line
     assert f"config error: line 2: {key} must be at most 1e+150 in magnitude" in (
         capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_hopping_below_the_energy_bound_is_config_error(tmp_path, capsys):
+    # the dense oracle's matrix norm underflowed at j = 1e-200: it returned pi_a = 1 at every t
+    cfg = tmp_path / "run.cfg"
+    series = {}
+    for method in ("analytic", "dense"):
+        cfg.write_text("n = 6\nj = 1e-200\ng = 1e-200\nt_max = 1e205\nsamples = 5\npairs = 2:5\n")
+        out = tmp_path / method
+        assert cli_main(["evolve", "--config", str(cfg), "--method", method,
+                         "--out", str(out)]) == 2
+        assert "config error: line 2: j must be at least 1e-150, got 1e-200" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+        # the smallest hopping still runs, and the two methods agree
+        cfg.write_text("n = 6\nj = 1e-150\ng = 1e-150\nt_max = 1e155\nsamples = 5\npairs = 2:5\n")
+        assert cli_main(["evolve", "--config", str(cfg), "--method", method,
+                         "--out", str(out)]) == 0
+        series[method] = io.read_csv(out / "evolve_series.csv")[1]
+    assert np.array_equal(series["analytic"][:, 0], series["dense"][:, 0])
+    assert np.abs(series["analytic"] - series["dense"])[:, 1:].max() <= 1e-10
+    assert series["dense"][1:, 2].min() < 0.9  # the excitation leaves the atom
 
 
 def test_fig3_snapshot_time_that_overflows_writes_nothing(tmp_path, capsys):

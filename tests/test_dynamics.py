@@ -342,6 +342,20 @@ def test_jacobi_refuses_a_matrix_whose_norm_overflows(size):
         DenseOraclePropagator(h)
 
 
+@pytest.mark.parametrize("size", [1e-200, 1.5e-162, 5e-324])
+def test_jacobi_refuses_a_nonzero_matrix_whose_norm_underflows(size):
+    # an underflowing norm sent a nonzero matrix down the zero-matrix path: identity vectors
+    h = build_hamiltonian(ModelParams(5, coupling=1.0))
+    h[h != 0] *= size
+    with pytest.raises(ValueError, match="underflows"):
+        jacobi_eigh(h)
+    with pytest.raises(ValueError, match="underflows"):
+        DenseOraclePropagator(h)
+    # entries of about 2.4e-150, just above 1 / MAX_ENERGY, still solve exactly
+    h = build_hamiltonian(ModelParams(5, coupling=1.0))
+    assert np.array_equal(jacobi_eigh(h * 2.0**-498)[0], jacobi_eigh(h)[0] * 2.0**-498)
+
+
 def test_jacobi_still_solves_entries_just_below_the_overflow():
     h = build_hamiltonian(ModelParams(5, coupling=1.0))
     w, v = jacobi_eigh(h * 2.0**500)

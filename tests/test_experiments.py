@@ -11,6 +11,7 @@ from jchsim.dynamics import AnalyticPropagator, TimeGrid, make_propagator
 from jchsim.entanglement import binary_entropy, concurrence_map, running_max_map
 from jchsim.experiments import (
     ExperimentSpec,
+    ObservableSeries,
     center_site,
     check_weak_preset,
     compute_series,
@@ -144,17 +145,17 @@ def test_run_sweep_empty():
 
 
 def test_run_sweep_duplicate_specs_identical():
-    outcomes = run_sweep([small_spec(), small_spec()])
-    assert all(o.ok for o in outcomes)
-    assert np.array_equal(outcomes[0].series.entropy, outcomes[1].series.entropy)
-    assert np.array_equal(outcomes[0].series.concurrence, outcomes[1].series.concurrence)
+    results = run_sweep([small_spec(), small_spec()])
+    assert all(isinstance(r, ObservableSeries) for r in results)
+    assert np.array_equal(results[0].entropy, results[1].entropy)
+    assert np.array_equal(results[0].concurrence, results[1].concurrence)
 
 
 def test_run_sweep_captures_failures():
-    outcomes = run_sweep([small_spec(), small_spec(method="magic")])
-    assert outcomes[0].ok
-    assert not outcomes[1].ok
-    assert isinstance(outcomes[1].error, ValueError)
+    results = run_sweep([small_spec(), small_spec(method="magic")])
+    assert isinstance(results[0], ObservableSeries)
+    assert not isinstance(results[1], ObservableSeries)
+    assert isinstance(results[1], ValueError)
 
 
 def test_sweep_entropy_trend_across_coupling():
@@ -169,8 +170,7 @@ def test_sweep_entropy_trend_across_coupling():
         )
         for g in g_values
     ]
-    outcomes = run_sweep(specs)
-    max_s = [o.series.entropy.max() for o in outcomes]
+    max_s = [series.entropy.max() for series in run_sweep(specs)]
     weak_plateau = binary_entropy(1.0 / 21.0)
     assert abs(max_s[0] - weak_plateau) <= 1e-2
     assert max_s[-1] >= 0.999

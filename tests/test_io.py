@@ -46,6 +46,18 @@ def test_parse_config_unknown_key():
         parse_config("t_start = 0")
 
 
+def test_value_sources_are_not_a_config_key():
+    with pytest.raises(ConfigError, match="line 1: unknown key '_sources'"):
+        parse_config("_sources = {}")
+
+
+@pytest.mark.parametrize("j", ["9.99e-151", "1e-200", "5e-324", "0", "-1"])
+def test_hopping_below_the_inverse_energy_bound_is_cited(j):
+    assert parse_config("n = 5\nj = 1e-150\ng = 1e-150").j == 1e-150
+    with pytest.raises(ConfigError, match="line 2: j must be at least 1e-150"):
+        parse_config(f"n = 5\nj = {j}")
+
+
 @pytest.mark.parametrize("text, ok", [
     ("n = 11\ng = 1\nt_max = 333333", True),  # max|E| = 2J + g = 3
     ("n = 11\ng = 1\nt_max = 333334", False),

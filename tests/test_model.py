@@ -23,6 +23,13 @@ def test_params_validation():
         ModelParams(n_cavities=5, coupling=-0.1)
 
 
+def test_hopping_must_reach_the_inverse_energy_bound():
+    assert ModelParams(n_cavities=5, hopping=1 / MAX_ENERGY).hopping == 1e-150
+    for hopping in (1e-151, 1e-200, 5e-324):
+        with pytest.raises(ValueError, match="hopping must be at least 1e-150"):
+            ModelParams(n_cavities=5, hopping=hopping, coupling=hopping)
+
+
 @pytest.mark.parametrize("field", ["hopping", "coupling", "cavity_freq", "atom_freq"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_params_reject_non_finite(field, value):
