@@ -28,7 +28,7 @@ import numpy as np
 
 from .linalg import evolution_phases, jacobi_eigh
 from .model import ModelParams, build_hamiltonian
-from .spectral import ModeTable, mode_table
+from .spectral import ModeTable, mode_table, sine_modes
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class ModePropagator:
         self.params = params
         self.modes = self.table(mode_table(params))
         # the complex copy every back transform would otherwise cast afresh (exact)
-        self._vectors = self.modes.vectors.astype(complex)
+        self._vectors = sine_modes(params.n_cavities)[2]
 
     def table(self, modes: ModeTable) -> ModeTable:
         """The per-mode blocks this propagator applies; the exact dressed ones here."""

@@ -61,9 +61,9 @@ def reduce_to_pair(state: np.ndarray, i: int, j: int) -> np.ndarray:
     return rho
 
 
-def pair_concurrence(mag_i, mag_j):
-    """C_ij = 2 |c_{a,i}| |c_{a,j}| from the two atomic magnitudes; elementwise."""
-    return 2.0 * mag_i * mag_j
+def pair_concurrence(mag_i, mag_j, out=None):
+    """C_ij = 2 |c_{a,i}| |c_{a,j}| from the two atomic magnitudes; elementwise, into ``out``."""
+    return np.multiply(2.0 * mag_i, mag_j, out=out)
 
 
 def _real_form(h: np.ndarray) -> np.ndarray:
@@ -120,7 +120,10 @@ def max_concurrence_map(ca) -> np.ndarray:
     if len(mags) == 0:
         raise ValueError("empty state series")
     sites = np.ascontiguousarray(mags.T)  # one site per row
-    best = np.zeros((len(sites), len(sites)))
-    for i in range(len(sites) - 1):
-        pair_concurrence(sites[i], sites[i + 1:]).max(axis=1, out=best[i, i + 1:])
+    n = len(sites)
+    best = np.zeros((n, n))
+    products = np.empty((n - 1, len(mags)))  # site i's pairs fill its first n - i - 1 rows
+    for i in range(n - 1):
+        pairs = pair_concurrence(sites[i], sites[i + 1:], out=products[: n - i - 1])
+        pairs.max(axis=1, out=best[i, i + 1:])
     return np.maximum(best, best.T)

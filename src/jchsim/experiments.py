@@ -6,6 +6,9 @@ weak-coupling runs (N+1)/2 must itself be odd, otherwise the center mode has
 no weight at x0 and nothing propagates.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
 import os
 import threading
@@ -20,11 +23,8 @@ from .dynamics import TimeGrid, evolve_series, make_propagator  # noqa: F401
 from .model import ModelParams, initial_atomic_excitation
 from .spectral import mode_table  # noqa: F401
 
-# time rows per chunk of the evolve_chunks pipeline
+# the most time rows in one chunk of the chunk pipeline
 CHUNK_ROWS = 256
-# a shorter tail joins the chunk before it: a 1-row product takes gemv, not gemm,
-# and rounds differently
-MIN_CHUNK_ROWS = 8
 FIG3_COUPLING = 1e3
 
 
@@ -88,15 +88,14 @@ def check_weak_preset(n: int):
 
 
 def time_chunks(n_rows: int) -> list[slice]:
-    """Consecutive slices of ``CHUNK_ROWS`` rows over range(n_rows).
+    """Consecutive slices over range(n_rows): ceil(n_rows / ``CHUNK_ROWS``) of them, in order.
 
-    A tail shorter than ``MIN_CHUNK_ROWS`` is merged into the chunk before it,
-    so every chunk has at least that many rows whenever n_rows does.
+    Their sizes differ by at most one row, so the workers finish together; a chunk
+    is one row long only when n_rows is 1.
     """
-    starts = list(range(0, n_rows, CHUNK_ROWS))
-    if len(starts) > 1 and n_rows - starts[-1] < MIN_CHUNK_ROWS:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
+    count = -(-n_rows // CHUNK_ROWS)
+    stops = [n_rows * (k + 1) // count for k in range(count)]
+    return [slice(a, b) for a, b in zip([0] + stops, stops)]
 
 
 def worker_count() -> int:
@@ -107,8 +106,47 @@ def worker_count() -> int:
         return os.cpu_count() or 1
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None for another BLAS."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    # dlsym on the extension also searches the libraries it was linked against
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    try:
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its thread count.
+
+    A threaded BLAS splits large products and dot products among its threads, which
+    changes how they round; on one thread the bytes do not depend on the CPUs, and
+    the pool's workers do not contend with BLAS threads.  Another BLAS is left as is.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    old = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(old)
+
+
 def map_chunks(fn, chunks) -> list:
-    """[fn(rows) for rows in chunks], on up to ``worker_count()`` threads.
+    """[fn(rows) for rows in chunks], on up to ``worker_count()`` threads, BLAS on one thread.
 
     numpy releases the GIL inside BLAS and its ufunc loops, so the chunks
     overlap.  Each call must touch only its own rows; the results come back
@@ -116,26 +154,34 @@ def map_chunks(fn, chunks) -> list:
     failed chunk's exception is raised.  One chunk or one CPU runs in the caller.
     """
     workers = min(worker_count(), len(chunks))
-    if workers <= 1:
-        return [fn(rows) for rows in chunks]
-    results, errors, claims = [None] * len(chunks), {}, iter(range(len(chunks)))
+    with one_blas_thread():
+        if workers <= 1:
+            return [fn(rows) for rows in chunks]
+        results, errors, claims = [None] * len(chunks), {}, iter(range(len(chunks)))
 
-    def work():  # the workers claim chunk indices from one shared iterator
-        for k in claims:
-            try:
-                results[k] = fn(chunks[k])
-            except BaseException as exc:  # raised in the caller
-                errors[k] = exc
-                return
+        def work():  # the workers claim chunk indices from one shared iterator
+            for k in claims:
+                try:
+                    results[k] = fn(chunks[k])
+                except BaseException as exc:  # raised in the caller
+                    errors[k] = exc
+                    return
 
-    threads = [threading.Thread(target=work) for _ in range(workers)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
     if errors:
         raise errors[min(errors)]
     return results
+
+
+def _evolver(method, params, x0, times):
+    """rows -> atomic amplitudes of |e_x0> at times[rows], shape (rows, N), from one propagator."""
+    prop = make_propagator(method, params)
+    state0 = initial_atomic_excitation(params, x0)
+    return lambda rows: prop.evolve(state0, times[rows], atoms_only=True)
 
 
 def evolve_chunks(method, params, x0, times, fn, chunks=None) -> list:
@@ -143,28 +189,69 @@ def evolve_chunks(method, params, x0, times, fn, chunks=None) -> list:
 
     One propagator serves every chunk; ``chunks`` defaults to ``time_chunks(len(times))``.
     """
-    prop = make_propagator(method, params)
-    state0 = initial_atomic_excitation(params, x0)
-    return map_chunks(lambda rows: fn(prop.evolve(state0, times[rows], atoms_only=True)),
+    evolve = _evolver(method, params, x0, times)
+    return map_chunks(lambda rows: fn(evolve(rows)),
                       time_chunks(len(times)) if chunks is None else chunks)
 
 
-def compute_series(spec: ExperimentSpec) -> ObservableSeries:
-    """Evolve the spec's initial state and record its observables, one time chunk at a time."""
-    times = spec.grid.times
+def _series_reducer(spec: ExperimentSpec):
+    """rows -> (pi_a, concurrences) of the spec at times[rows]; builds its propagator."""
+    evolve = _evolver(spec.method, spec.params, spec.x0, spec.grid.times)
     sites = np.array(spec.pairs, dtype=int).reshape(-1, 2) - 1
 
-    def reduce(ca):
-        mags = np.abs(ca)
+    def reduce(rows):
+        mags = np.abs(evolve(rows))
         conc = entanglement.pair_concurrence(mags[:, sites[:, 0]], mags[:, sites[:, 1]])
         return np.sum(mags**2, axis=1), conc
 
-    parts = evolve_chunks(spec.method, spec.params, spec.x0, times, reduce)
-    pi_a, conc = (np.concatenate(column) for column in zip(*parts))
-    return ObservableSeries(
-        times=times, entropy=entanglement.binary_entropy(pi_a), pi_a=pi_a,
-        pairs=list(spec.pairs), concurrence=conc,
-    )
+    return reduce
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def run_sweep(specs) -> list[ObservableSeries | Exception]:
+    """Each spec's observable series, or the first exception it raised.
+
+    Every spec's propagator is built first; then the time chunks of all specs
+    run in one ``map_chunks`` call, so no worker waits on another spec's set-up
+    or on the tail of its chunks.  A spec that fails at set-up or in any of its
+    chunks yields its exception while the others finish.
+    """
+    specs = list(specs)
+    with one_blas_thread():  # the dense set-up takes norms, which BLAS may thread
+        reducers = [_attempt(_series_reducer, spec) for spec in specs]
+    jobs = [(k, rows) for k, (spec, reduce) in enumerate(zip(specs, reducers))
+            if not isinstance(reduce, Exception) for rows in time_chunks(spec.grid.n_samples)]
+    parts = [[] for _ in specs]
+    done = map_chunks(lambda job: _attempt(reducers[job[0]], job[1]), jobs)
+    for (k, _), part in zip(jobs, done):
+        parts[k].append(part)
+    results = []
+    for spec, reduce, chunks in zip(specs, reducers, parts):
+        failed = [part for part in [reduce, *chunks] if isinstance(part, Exception)]
+        if failed:
+            results.append(failed[0])
+            continue
+        pi_a, conc = (np.concatenate(column) for column in zip(*chunks))
+        results.append(ObservableSeries(
+            times=spec.grid.times, entropy=entanglement.binary_entropy(pi_a), pi_a=pi_a,
+            pairs=list(spec.pairs), concurrence=conc,
+        ))
+    return results
+
+
+def compute_series(spec: ExperimentSpec) -> ObservableSeries:
+    """Evolve the spec's initial state and record its observables: run_sweep of one spec."""
+    (result,) = run_sweep([spec])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def fig2_spec() -> ExperimentSpec:
@@ -233,15 +320,8 @@ def run_fig4(g_over_j: float) -> np.ndarray:
     return np.maximum.reduce(maps)
 
 
-# the one place a failed coupling is caught; the benchmark tracer looks it up by name
+# nothing in the package calls run_one: it stays only because the benchmark tracer
+# (bench/spans.py) resolves it by name, and ROADMAP item 1's stage clock deletes it
 def run_one(spec: ExperimentSpec) -> ObservableSeries | Exception:
     """compute_series(spec), or the exception it raised."""
-    try:
-        return compute_series(spec)
-    except Exception as exc:
-        return exc
-
-
-def run_sweep(specs) -> list[ObservableSeries | Exception]:
-    """[run_one(spec) for spec in specs]: each spec's series, or the exception it raised."""
-    return [run_one(spec) for spec in specs]
+    return _attempt(compute_series, spec)

@@ -158,10 +158,24 @@ def _rayleigh_refine(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     The rotation cascade leaves the diagonal with an O(sqrt(rotations) * eps *
     ||A||) error, which propagation phases E*t amplify; recomputing against the
     untouched input matrix in long double removes the accumulation.
+
+    A v sums each row's nonzero terms in ascending column order from +0: the sum
+    that numpy's long-double matmul (which has no BLAS path) forms over every
+    column, as a zero term never changes a partial sum that starts at +0.  Rows
+    with fewer nonzeros are padded with 0 * v[0], which adds such a zero term.
     """
     al = a.astype(np.longdouble)
     vl = vecs.astype(np.longdouble)
-    w = np.einsum("ij,ij->j", vl, al @ vl) / np.einsum("ij,ij->j", vl, vl)
+    rows, cols = np.nonzero(a)  # in row-major order
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)  # place within its row
+    # row i's k-th nonzero and its column at [k, i]
+    values = np.zeros((rank.max(initial=-1) + 1, len(a)), dtype=np.longdouble)
+    columns = np.zeros(values.shape, dtype=np.intp)
+    values[rank, rows], columns[rank, rows] = al[rows, cols], cols
+    av = np.zeros_like(vl)
+    for value, column in zip(values, columns):
+        av += value[:, None] * vl[column]
+    w = np.einsum("ij,ij->j", vl, av) / np.einsum("ij,ij->j", vl, vl)
     return w.astype(float)
 
 

@@ -8,6 +8,7 @@ counterpart through a 2x2 block, giving two dressed branches per mode.
 the table that the mode-basis propagators of :mod:`jchsim.dynamics` apply.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +39,24 @@ class ModeTable:
     eps_minus: np.ndarray
 
 
+@functools.lru_cache(maxsize=8)
+def sine_modes(n: int) -> tuple:
+    """Momenta k, the sine vectors ``vectors[m-1, x-1]`` and their exact complex copy.
+
+    They depend on N alone, so every coupling of a sweep shares them; the arrays
+    are read-only.
+    """
+    k = np.pi * np.arange(1, n + 1) / (n + 1)
+    vectors = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, np.arange(1, n + 1)))
+    arrays = (k, vectors, vectors.astype(complex))
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
+
+
 def mode_table(params: ModelParams) -> ModeTable:
     """Closed-form normal modes of the open uniform chain and their dressed spectrum."""
-    n = params.n_cavities
-    m = np.arange(1, n + 1)
-    k = np.pi * m / (n + 1)
-    x = np.arange(1, n + 1)
-    vectors = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, x))
+    k, vectors, _ = sine_modes(params.n_cavities)
     frequencies = params.cavity_freq - 2.0 * params.hopping * np.cos(k)
 
     g = params.coupling

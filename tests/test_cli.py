@@ -335,14 +335,14 @@ def test_pairs_are_checked_once_n_is_set(tmp_path, capsys):
 
 
 def test_sweep_writes_failed_row(tmp_path, capsys, monkeypatch):
-    compute = experiments.compute_series
+    compute, build = experiments.compute_series, experiments.make_propagator
 
-    def fail_at_g1(spec):
-        if spec.params.coupling == 1.0:
+    def fail_at_g1(method, params):
+        if params.coupling == 1.0:
             raise FloatingPointError("forced failure")
-        return compute(spec)
+        return build(method, params)
 
-    monkeypatch.setattr(experiments, "compute_series", fail_at_g1)
+    monkeypatch.setattr(experiments, "make_propagator", fail_at_g1)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 9\ng_list = 0.1, 1\nt_max = 10\nsamples = 16\npairs = 2:5\n")
     out = tmp_path / "s"

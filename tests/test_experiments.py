@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jchsim import experiments
+from jchsim import dynamics, experiments
 from jchsim.dynamics import AnalyticPropagator, TimeGrid, make_propagator
 from jchsim.entanglement import binary_entropy, concurrence_map, running_max_map
 from jchsim.experiments import (
@@ -118,7 +118,9 @@ def test_fig3_maps_match_the_scalar_full_state_path(monkeypatch, workers):
     assert [snap.off_resonant for snap in snaps] == [False, False, False, True]
     for snap, t in zip(snaps, times + [2000.5 * np.pi / 1e3]):
         assert snap.time == t
-        assert np.array_equal(snap.values, concurrence_map(prop.evolve(state0, t)))
+        with experiments.one_blas_thread():  # as the chunk pool runs
+            reference = concurrence_map(prop.evolve(state0, t))
+        assert np.array_equal(snap.values, reference)
 
 
 def test_fig4_grid_snapped():
@@ -158,6 +160,70 @@ def test_run_sweep_captures_failures():
     assert isinstance(results[1], ValueError)
 
 
+def _mixed_specs():
+    # three couplings and three methods; 300 samples is not a multiple of 256
+    return [ExperimentSpec(name=f"g{g:g}", params=ModelParams(21, coupling=g, atom_freq=0.1),
+                           x0=11, grid=TimeGrid(0.0, 30.0, 300), method=method,
+                           pairs=((3, 17), (11, 12)))
+            for g, method in [(0.01, "analytic"), (0.7, "dense"), (30.0, "strong"),
+                              (0.7, "analytic")]]
+
+
+def assert_same_series(a, b):
+    for field in ("times", "entropy", "pi_a", "concurrence"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert a.pairs == b.pairs
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_matches_each_spec_alone(monkeypatch, workers):
+    specs = _mixed_specs()
+    monkeypatch.setattr(experiments, "worker_count", lambda: 1)
+    alone = [compute_series(spec) for spec in specs]
+    monkeypatch.setattr(experiments, "worker_count", lambda: workers)
+    for series, reference in zip(run_sweep(specs), alone):
+        assert_same_series(series, reference)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_chunk_fails_only_its_coupling(monkeypatch, workers):
+    specs = _mixed_specs()
+    alone = [compute_series(spec) for spec in specs]
+    evolve = dynamics.ModePropagator.evolve
+
+    def fail_late_at_g30(self, state, t, atoms_only=False):
+        if self.params.coupling == 30.0 and t[0] > 15.0:  # the second of two chunks
+            raise FloatingPointError("forced chunk failure")
+        return evolve(self, state, t, atoms_only)
+
+    monkeypatch.setattr(dynamics.ModePropagator, "evolve", fail_late_at_g30)
+    monkeypatch.setattr(experiments, "worker_count", lambda: workers)
+    results = run_sweep(specs)
+    assert isinstance(results[2], FloatingPointError)
+    assert str(results[2]) == "forced chunk failure"
+    for k in (0, 1, 3):
+        assert_same_series(results[k], alone[k])
+    with pytest.raises(FloatingPointError, match="forced chunk failure"):
+        compute_series(specs[2])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_chunks_runs_blas_on_one_thread_and_restores_it(monkeypatch, workers):
+    threads = experiments._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    get, put = threads
+    monkeypatch.setattr(experiments, "worker_count", lambda: workers)
+    old = get()
+    put(2)
+    try:
+        assert experiments.map_chunks(lambda rows: get(), time_chunks(600)) == [1, 1, 1]
+        assert get() == 2
+    finally:
+        put(old)
+
+
 def test_sweep_entropy_trend_across_coupling():
     # max_t S grows from the weak-coupling plateau toward ~1 and saturates
     g_values = [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0]
@@ -184,8 +250,10 @@ def test_time_chunks_cover_the_grid_with_no_short_chunk():
         assert chunks[0].start == 0 and chunks[-1].stop == n_rows
         assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
         sizes = [c.stop - c.start for c in chunks]
-        assert min(sizes) >= min(n_rows, experiments.MIN_CHUNK_ROWS)
-        assert max(sizes) < experiments.CHUNK_ROWS + experiments.MIN_CHUNK_ROWS
+        assert len(chunks) == math.ceil(n_rows / experiments.CHUNK_ROWS)
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= experiments.CHUNK_ROWS
+        assert min(sizes) >= 2 or n_rows == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -200,13 +268,15 @@ def test_map_chunks_keeps_order_and_uses_the_pool(monkeypatch, workers):
 def test_map_chunks_raises_a_worker_exception(monkeypatch):
     monkeypatch.setattr(experiments, "worker_count", lambda: 3)
 
+    chunks = time_chunks(3000)
+
     def fail_one(rows):
-        if rows.start == 5 * experiments.CHUNK_ROWS:
+        if rows == chunks[5]:
             raise ValueError("chunk 5 failed")
         return rows
 
     with pytest.raises(ValueError, match="chunk 5 failed"):
-        experiments.map_chunks(fail_one, time_chunks(3000))
+        experiments.map_chunks(fail_one, chunks)
 
 
 @pytest.mark.parametrize("g_over_j", [1e-3, 0.5, 1.07, 10.0, 97.3, 1e3, 1e150])
@@ -249,8 +319,9 @@ def test_series_matches_unchunked_reference(monkeypatch, workers, method, sample
 def test_fig4_matches_running_max_of_full_evolve(monkeypatch, workers):
     monkeypatch.setattr(experiments, "worker_count", lambda: workers)
     params = ModelParams(n_cavities=201, hopping=1.0, coupling=10.0)
-    states = make_propagator("analytic", params).evolve(
-        initial_atomic_excitation(params, 101), fig4_grid(10.0))
+    with experiments.one_blas_thread():  # as the chunk pool runs
+        states = make_propagator("analytic", params).evolve(
+            initial_atomic_excitation(params, 101), fig4_grid(10.0))
     assert len(states) > experiments.CHUNK_ROWS
     assert np.array_equal(run_fig4(10.0), running_max_map(states))
 

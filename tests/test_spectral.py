@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from jchsim.dynamics import AnalyticPropagator, StrongCouplingPropagator
 from jchsim.linalg import jacobi_eigh
 from jchsim.model import ModelParams, build_hamiltonian
-from jchsim.spectral import eigenstate_vector, mode_table
+from jchsim.spectral import eigenstate_vector, mode_table, sine_modes
 
 
 def test_band_center_mode():
@@ -107,3 +108,23 @@ def test_spectrum_matches_jacobi(n):
     analytic = np.sort(np.concatenate([mt.eps_plus, mt.eps_minus]))
     w, _ = jacobi_eigh(build_hamiltonian(params))
     assert np.abs(analytic - w).max() <= 1e-10
+
+
+def test_sine_modes_are_built_once_read_only_and_equal_a_fresh_build():
+    n = 37
+    k, vectors, complex_vectors = sine_modes(n)
+    fresh_k = np.pi * np.arange(1, n + 1) / (n + 1)
+    fresh = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(fresh_k, np.arange(1, n + 1)))
+    assert k.tobytes() == fresh_k.tobytes()
+    assert vectors.tobytes() == fresh.tobytes()
+    assert complex_vectors.tobytes() == fresh.astype(complex).tobytes()
+    for x in (k, vectors, complex_vectors):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+    # every coupling and propagator of this N shares the one build
+    for g in (0.01, 3.0):
+        params = ModelParams(n, coupling=g)
+        assert mode_table(params).vectors is vectors and mode_table(params).momenta is k
+        assert AnalyticPropagator(params)._vectors is complex_vectors
+        assert StrongCouplingPropagator(params).modes.vectors is vectors
