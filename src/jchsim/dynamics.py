@@ -1,7 +1,7 @@
 """Time evolution in the single-excitation sector.
 
-Four propagators are provided; the first three are one ModePropagator
-(sine modes, a 2x2 unitary per mode, back to sites) that differ in its table:
+Four propagators are provided; the first three are AnalyticPropagator (sine
+modes, a 2x2 unitary per mode, back to sites) and two subclasses with other tables:
 
 * AnalyticPropagator -- exact, via the 2x2 dressed blocks of the normal-mode
   decomposition; valid in every coupling regime.
@@ -57,12 +57,15 @@ def _split(state, n):
     return state[:n], state[n:]
 
 
-class ModePropagator:
-    """Evolution through the sine modes, one 2x2 unitary per mode.
+class AnalyticPropagator:
+    """Exact evolution through the sine modes, one 2x2 dressed block per mode.
 
     Mode amplitudes (a, b) go into branches p_pm = a_pm a + b_pm b turning at
-    eps_pm; ``table`` gives the (a_pm, b_pm, eps_pm) that a subclass applies.
+    eps_pm; ``table`` gives the (a_pm, b_pm, eps_pm), which the effective
+    subclasses replace.
     """
+
+    method = "analytic"
 
     def __init__(self, params: ModelParams):
         self.params = params
@@ -96,12 +99,6 @@ class ModePropagator:
         return states[0] if np.ndim(t) == 0 else states
 
 
-class AnalyticPropagator(ModePropagator):
-    """Exact evolution through the per-mode 2x2 dressed blocks."""
-
-    method = "analytic"
-
-
 class DenseOraclePropagator:
     """Exact evolution via a full Jacobi eigendecomposition of H."""
 
@@ -129,7 +126,7 @@ def _resonant_mode(modes: ModeTable) -> int:
     return int(np.argmax(detuning <= detuning.min() + 1e-12)) + 1
 
 
-class WeakCouplingPropagator(ModePropagator):
+class WeakCouplingPropagator(AnalyticPropagator):
     """Effective evolution with a single dressed mode, all others frozen.
 
     The dressed mode is ``resonant_mode``, the one closest to resonance with
@@ -160,7 +157,7 @@ class WeakCouplingPropagator(ModePropagator):
                        eps_minus=np.where(res, w_a - g, w_a))
 
 
-class StrongCouplingPropagator(ModePropagator):
+class StrongCouplingPropagator(AnalyticPropagator):
     """Effective evolution with the two polariton chains decoupled.
 
     ``validity`` is (bandwidth + atomic frequency) relative to g; small means

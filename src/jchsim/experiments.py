@@ -1,4 +1,4 @@
-"""Preset pipelines for the three reference experiments and a sweep engine.
+"""Preset pipelines for the three reference experiments, all evolved by ``evolve_runs``.
 
 The presets pin an odd array size with the initial excitation at the center
 site x0 = (N+1)/2, so the band-center mode is resonant with the atoms; for
@@ -20,10 +20,10 @@ from . import entanglement
 
 # evolve_series and mode_table stay importable here: the benchmark tracer looks them up
 from .dynamics import TimeGrid, evolve_series, make_propagator  # noqa: F401
-from .model import ModelParams, initial_atomic_excitation
+from .model import MAX_ENERGY_TIME, ModelParams, initial_atomic_excitation, max_energy
 from .spectral import mode_table  # noqa: F401
 
-# the most time rows in one chunk of the chunk pipeline
+# the most time rows in one chunk of evolve_runs
 CHUNK_ROWS = 256
 FIG3_COUPLING = 1e3
 
@@ -177,34 +177,14 @@ def map_chunks(fn, chunks) -> list:
     return results
 
 
-def _evolver(method, params, x0, times):
-    """rows -> atomic amplitudes of |e_x0> at times[rows], shape (rows, N), from one propagator."""
-    prop = make_propagator(method, params)
-    state0 = initial_atomic_excitation(params, x0)
-    return lambda rows: prop.evolve(state0, times[rows], atoms_only=True)
+class EnergyTimeError(ValueError):
+    """(max|E|, t) of a run beyond ``MAX_ENERGY_TIME``, where the phases E t lose accuracy."""
 
+    def describe(self, name="t") -> str:  # the message, calling the latest time ``name``
+        return ("max|E| * {} must be at most {:g}, got {:g} * {:g}: the phases E t lose "
+                "accuracy beyond it").format(name, MAX_ENERGY_TIME, *self.args)
 
-def evolve_chunks(method, params, x0, times, fn, chunks=None) -> list:
-    """[fn(atomic amplitudes of |e_x0> at times[rows], shape (rows, N)) for rows in chunks].
-
-    One propagator serves every chunk; ``chunks`` defaults to ``time_chunks(len(times))``.
-    """
-    evolve = _evolver(method, params, x0, times)
-    return map_chunks(lambda rows: fn(evolve(rows)),
-                      time_chunks(len(times)) if chunks is None else chunks)
-
-
-def _series_reducer(spec: ExperimentSpec):
-    """rows -> (pi_a, concurrences) of the spec at times[rows]; builds its propagator."""
-    evolve = _evolver(spec.method, spec.params, spec.x0, spec.grid.times)
-    sites = np.array(spec.pairs, dtype=int).reshape(-1, 2) - 1
-
-    def reduce(rows):
-        mags = np.abs(evolve(rows))
-        conc = entanglement.pair_concurrence(mags[:, sites[:, 0]], mags[:, sites[:, 1]])
-        return np.sum(mags**2, axis=1), conc
-
-    return reduce
+    __str__ = describe
 
 
 def _attempt(fn, *args):
@@ -215,43 +195,67 @@ def _attempt(fn, *args):
         return exc
 
 
-def run_sweep(specs) -> list[ObservableSeries | Exception]:
-    """Each spec's observable series, or the first exception it raised.
+def evolve_runs(runs) -> list[list | Exception]:
+    """Each run's [reduce(amplitudes at times[rows]) for rows in chunks], or its first exception.
 
-    Every spec's propagator is built first; then the time chunks of all specs
-    run in one ``map_chunks`` call, so no worker waits on another spec's set-up
-    or on the tail of its chunks.  A spec that fails at set-up or in any of its
-    chunks yields its exception while the others finish.
+    ``runs`` lists (method, params, x0, times, reduce, chunks) tuples; ``reduce`` gets the atomic
+    amplitudes of |e_x0>, shape (rows, N).  Before any set-up, EnergyTimeError is raised
+    unless every max|E| * max(times) is at most ``MAX_ENERGY_TIME``.  All propagators are
+    built first, then all chunks go to one ``map_chunks`` call; a failed run stops no other.
     """
-    specs = list(specs)
+    bounds = [(max_energy(run[1]), float(np.max(run[3], initial=0.0))) for run in runs]
+    energy, time = max(bounds, key=lambda bound: bound[0] * bound[1], default=(0.0, 0.0))
+    if energy * time > MAX_ENERGY_TIME:
+        raise EnergyTimeError(energy, time)
+
+    def build(method, params, x0, times, reduce, _):
+        prop, state0 = make_propagator(method, params), initial_atomic_excitation(params, x0)
+        return lambda rows: reduce(prop.evolve(state0, times[rows], atoms_only=True))
+
     with one_blas_thread():  # the dense set-up takes norms, which BLAS may thread
-        reducers = [_attempt(_series_reducer, spec) for spec in specs]
-    jobs = [(k, rows) for k, (spec, reduce) in enumerate(zip(specs, reducers))
-            if not isinstance(reduce, Exception) for rows in time_chunks(spec.grid.n_samples)]
-    parts = [[] for _ in specs]
-    done = map_chunks(lambda job: _attempt(reducers[job[0]], job[1]), jobs)
-    for (k, _), part in zip(jobs, done):
+        steps = [_attempt(build, *run) for run in runs]
+    jobs = [(k, rows) for k, (step, run) in enumerate(zip(steps, runs))
+            if not isinstance(step, Exception) for rows in run[5]]
+    parts = [[step] if isinstance(step, Exception) else [] for step in steps]
+    for (k, _), part in zip(jobs, map_chunks(lambda job: _attempt(steps[job[0]], job[1]), jobs)):
         parts[k].append(part)
-    results = []
-    for spec, reduce, chunks in zip(specs, reducers, parts):
-        failed = [part for part in [reduce, *chunks] if isinstance(part, Exception)]
-        if failed:
-            results.append(failed[0])
-            continue
-        pi_a, conc = (np.concatenate(column) for column in zip(*chunks))
-        results.append(ObservableSeries(
-            times=spec.grid.times, entropy=entanglement.binary_entropy(pi_a), pi_a=pi_a,
-            pairs=list(spec.pairs), concurrence=conc,
-        ))
-    return results
+    return [next((p for p in got if isinstance(p, Exception)), got) for got in parts]
+
+
+def _only(results):
+    """The result of a one-run list, raised if it is an exception."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _observables(sites, amplitudes):
+    """(pi_a, concurrences of the site pairs ``sites``) of atomic amplitudes, one time per row."""
+    mags = np.abs(amplitudes)
+    conc = entanglement.pair_concurrence(mags[:, sites[:, 0]], mags[:, sites[:, 1]])
+    return np.sum(mags**2, axis=1), conc
+
+
+def _series(spec, pi_a, conc) -> ObservableSeries:
+    return ObservableSeries(times=spec.grid.times, entropy=entanglement.binary_entropy(pi_a),
+                            pi_a=pi_a, pairs=list(spec.pairs), concurrence=conc)
+
+
+def run_sweep(specs) -> list[ObservableSeries | Exception]:
+    """Each spec's observable series, or its first exception: one ``evolve_runs`` call."""
+    specs = list(specs)
+    runs = [(spec.method, spec.params, spec.x0, spec.grid.times,
+             functools.partial(_observables, np.array(spec.pairs, dtype=int).reshape(-1, 2) - 1),
+             time_chunks(spec.grid.n_samples)) for spec in specs]
+    return [parts if isinstance(parts, Exception) else
+            _series(spec, *(np.concatenate(column) for column in zip(*parts)))
+            for spec, parts in zip(specs, evolve_runs(runs))]
 
 
 def compute_series(spec: ExperimentSpec) -> ObservableSeries:
     """Evolve the spec's initial state and record its observables: run_sweep of one spec."""
-    (result,) = run_sweep([spec])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _only(run_sweep([spec]))
 
 
 def fig2_spec() -> ExperimentSpec:
@@ -291,8 +295,8 @@ def run_fig3(snapshot_times=None) -> list[SnapshotMap]:
         off_resonant.append(abs(cycles - round(cycles)) * math.pi / g > 1e-9)
     # one row per snapshot: a 1-row product takes gemv, as a scalar time does
     times = np.array(snapshot_times, dtype=float)
-    maps = evolve_chunks("analytic", params, 51, times, entanglement.max_concurrence_map,
-                         [slice(k, k + 1) for k in range(len(times))])
+    maps = _only(evolve_runs([("analytic", params, 51, times, entanglement.max_concurrence_map,
+                               [slice(k, k + 1) for k in range(len(times))])]))
     return [SnapshotMap(time=t, values=values, off_resonant=flag)
             for t, values, flag in zip(snapshot_times, maps, off_resonant)]
 
@@ -312,10 +316,15 @@ def fig4_grid(g_over_j: float) -> np.ndarray:
 
 
 def run_fig4(g_over_j: float) -> np.ndarray:
-    """Running-maximum concurrence map: N=201, x0=101, tJ in [0, 90]."""
+    """Running-maximum concurrence map: N=201, x0=101, tJ in [0, 90].
+
+    The max|E| * t bound applies at the last time of ``fig4_grid``, which may lie a
+    little past 90.
+    """
     params = ModelParams(n_cavities=201, hopping=1.0, coupling=g_over_j)
-    maps = evolve_chunks("analytic", params, 101, fig4_grid(g_over_j),
-                         entanglement.max_concurrence_map)
+    times = fig4_grid(g_over_j)
+    maps = _only(evolve_runs([("analytic", params, 101, times, entanglement.max_concurrence_map,
+                               time_chunks(len(times)))]))
     # the maximum is exact, so merging the chunks' maps gives the bytes of one pass
     return np.maximum.reduce(maps)
 

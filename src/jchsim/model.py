@@ -17,7 +17,7 @@ ATOM = "atom"
 # far below sqrt(DBL_MAX) ~ 1.34e154.  The hopping J, the energy unit, must be at
 # least 1 / MAX_ENERGY, so the norm of H cannot underflow either.
 MAX_ENERGY = 1e150
-# largest max|E| * t_max a config run accepts.  The phases E t are reduced in a long
+# largest ``max_energy`` * t an evolution accepts.  The phases E t are reduced in a long
 # double, and the analytic and dense sum over x of |c_x|^2 then differ by about
 # 4e-17 |E| t, which passes 1e-10 near |E| t = 2.5e6 (measured at N = 11, 16, 24).
 MAX_ENERGY_TIME = 1e6
@@ -54,6 +54,11 @@ class ModelParams:
     def dim(self) -> int:
         """Dimension of the single-excitation sector (2N)."""
         return 2 * self.n_cavities
+
+
+def max_energy(p: ModelParams) -> float:
+    """Gershgorin bound on max|E| of H: max(|omega_c| + 2J, |omega_a|) + g."""
+    return float(max(abs(p.cavity_freq) + 2.0 * p.hopping, abs(p.atom_freq)) + p.coupling)
 
 
 def flat_index(kind: str, site: int, n_cavities: int) -> int:

@@ -4,8 +4,8 @@ For a uniform open chain the photon normal modes are standing waves
 v_{k,x} = sqrt(2/(N+1)) sin(kx) with k = pi*m/(N+1), m = 1..N, at frequencies
 omega_k = omega_c - 2J cos(k).  Each mode hybridizes with its atomic
 counterpart through a 2x2 block, giving two dressed branches per mode.
-:func:`mode_table` returns the modes and their branches as one ``ModeTable``,
-the table that the mode-basis propagators of :mod:`jchsim.dynamics` apply.
+:func:`mode_table` returns both as one ``ModeTable``: the table that
+``AnalyticPropagator`` applies, and its weak and strong subclasses replace.
 """
 
 import functools

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import svg_reference
-from jchsim import experiments, io
+from jchsim import dynamics, experiments, io
 from jchsim.cli import cli_main
 from jchsim.dynamics import TimeGrid
 from jchsim.experiments import ExperimentSpec
@@ -401,6 +401,39 @@ def test_hopping_below_the_energy_bound_is_config_error(tmp_path, capsys):
     assert np.array_equal(series["analytic"][:, 0], series["dense"][:, 0])
     assert np.abs(series["analytic"] - series["dense"])[:, 1:].max() <= 1e-10
     assert series["dense"][1:, 2].min() < 0.9  # the excitation leaves the atom
+
+
+@pytest.mark.parametrize("command, text, files", [
+    ("modes", "n = 5\nj = 1e150\n", ["modes.csv"]),  # modes evolves nothing
+    ("evolve", "n = 11\ng_list = 1e5\ng = 1\nt_max = 50\nsamples = 16\n",
+     ["evolve_plot.svg", "evolve_series.csv"]),
+    ("sweep", "n = 11\ng = 1e5\ng_list = 1\nt_max = 50\nsamples = 16\n",
+     ["sweep_g1_series.csv", "sweep_summary.csv"]),
+], ids=["modes", "evolve-g_list", "sweep-g"])
+def test_keys_a_command_does_not_evolve_do_not_trip_the_bound(tmp_path, command, text, files):
+    # max|E| * t counts only what a command evolves: not g_list for evolve, g for sweep or
+    # the default t_max for modes
+    cfg, out = tmp_path / "run.cfg", tmp_path / "r"
+    cfg.write_text(text)
+    assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(path.name for path in out.iterdir()) == files
+    for name in files:
+        if name.endswith(".csv") and name != "sweep_summary.csv":  # the summary has a status
+            assert np.isfinite(io.read_csv(out / name)[1]).all(), name
+
+
+def test_fig3_beyond_the_bound_evolves_nothing(tmp_path, capsys, monkeypatch):
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("evolved past the bound")
+
+    monkeypatch.setattr(experiments, "make_propagator", no_evolution)
+    monkeypatch.setattr(dynamics.AnalyticPropagator, "evolve", no_evolution)
+    out = tmp_path / "r"
+    assert cli_main(["fig3", "--snapshot-times", "6.283185307179586,998.1",
+                     "--out", str(out)]) == 2
+    assert "config error: --snapshot-times: max|E| * t must be at most 1e+06, got 1002 * 998.1" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_fig3_snapshot_time_that_overflows_writes_nothing(tmp_path, capsys):

@@ -10,6 +10,7 @@ from jchsim import dynamics, experiments
 from jchsim.dynamics import AnalyticPropagator, TimeGrid, make_propagator
 from jchsim.entanglement import binary_entropy, concurrence_map, running_max_map
 from jchsim.experiments import (
+    EnergyTimeError,
     ExperimentSpec,
     ObservableSeries,
     center_site,
@@ -190,14 +191,14 @@ def test_sweep_matches_each_spec_alone(monkeypatch, workers):
 def test_a_failed_chunk_fails_only_its_coupling(monkeypatch, workers):
     specs = _mixed_specs()
     alone = [compute_series(spec) for spec in specs]
-    evolve = dynamics.ModePropagator.evolve
+    evolve = dynamics.AnalyticPropagator.evolve
 
     def fail_late_at_g30(self, state, t, atoms_only=False):
         if self.params.coupling == 30.0 and t[0] > 15.0:  # the second of two chunks
             raise FloatingPointError("forced chunk failure")
         return evolve(self, state, t, atoms_only)
 
-    monkeypatch.setattr(dynamics.ModePropagator, "evolve", fail_late_at_g30)
+    monkeypatch.setattr(dynamics.AnalyticPropagator, "evolve", fail_late_at_g30)
     monkeypatch.setattr(experiments, "worker_count", lambda: workers)
     results = run_sweep(specs)
     assert isinstance(results[2], FloatingPointError)
@@ -285,6 +286,46 @@ def test_fig4_grid_equals_unique_of_the_snapped_grid(g_over_j):
     snapped = np.round(np.arange(0.0, 90.0 + 1e-12, 0.05) / period) * period
     grid, unique = fig4_grid(g_over_j), np.unique(snapped)
     assert grid.dtype == unique.dtype and grid.tobytes() == unique.tobytes()
+
+
+def _no_setup(method, params):
+    raise LookupError("set-up reached")
+
+
+def test_library_calls_beyond_the_bound_raise(monkeypatch):
+    monkeypatch.setattr(experiments, "make_propagator", _no_setup)
+    spec = small_spec(g=1.0)  # max|E| * t = 3 * 20
+    over = ExperimentSpec(name="over", params=ModelParams(9, coupling=1e5), x0=5,
+                          grid=TimeGrid(0.0, 20.0, 64))
+    with pytest.raises(EnergyTimeError) as info:
+        compute_series(over)
+    assert info.value.args == (100002.0, 20.0)
+    assert str(info.value) == ("max|E| * t must be at most 1e+06, got 100002 * 20: "
+                               "the phases E t lose accuracy beyond it")
+    # a sweep raises for all its couplings, before any of them is set up
+    with pytest.raises(EnergyTimeError):
+        run_sweep([spec, over])
+    assert isinstance(run_sweep([spec])[0], LookupError)
+    with pytest.raises(EnergyTimeError):
+        run_fig4(1e5)
+
+
+@pytest.mark.parametrize("g_over_j, refused", [(11109.0, False), (11110.0, True)])
+def test_fig4_bound_boundary(monkeypatch, g_over_j, refused):
+    monkeypatch.setattr(experiments, "make_propagator", _no_setup)
+    with pytest.raises(EnergyTimeError if refused else LookupError):
+        run_fig4(g_over_j)
+
+
+def test_fig4_bound_is_measured_at_the_last_time_of_its_grid(monkeypatch):
+    # at g/J = 1.07 the snapped grid ends at 91.018, past tJ = 90
+    last = fig4_grid(1.07)[-1]
+    assert 91.01 < last < 91.02
+    monkeypatch.setattr(experiments, "make_propagator", _no_setup)
+    monkeypatch.setattr(experiments, "MAX_ENERGY_TIME", (2.0 + 1.07) * 91.0)  # max|E| = 2J + g
+    with pytest.raises(EnergyTimeError) as info:
+        run_fig4(1.07)
+    assert info.value.args == (2.0 + 1.07, last)
 
 
 def _unchunked_series(spec):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jchsim import io
+from jchsim.cli import cli_main
 from jchsim.dynamics import TimeGrid
 from jchsim.experiments import ExperimentSpec, compute_series
 from jchsim.io import ConfigError, parse_config, parse_pairs
@@ -58,24 +59,29 @@ def test_hopping_below_the_inverse_energy_bound_is_cited(j):
         parse_config(f"n = 5\nj = {j}")
 
 
-@pytest.mark.parametrize("text, ok", [
-    ("n = 11\ng = 1\nt_max = 333333", True),  # max|E| = 2J + g = 3
-    ("n = 11\ng = 1\nt_max = 333334", False),
-    ("n = 11\nomega_a = 1e4\nt_max = 100", True),  # |omega_a| + g
-    ("n = 11\nomega_a = 1e4\nt_max = 101", False),
-    ("n = 11\nomega_c = -1e4\nt_max = 99.98", True),  # |omega_c| + 2J
-    ("n = 11\nomega_c = -1e4\nt_max = 100", False),
-    ("n = 11\ng_list = 0.1, 1e5\nt_max = 9.99", True),  # 2J + the largest g_list entry
-    ("n = 11\ng_list = 0.1, 1e5\nt_max = 10", False),
-    ("g = 1e5\nt_max = 50", True),  # no n: a preset fixes its own times
+@pytest.mark.parametrize("command, text, ok", [
+    ("evolve", "n = 11\ng = 1\nt_max = 333333", True),  # max|E| = 2J + g = 3
+    ("evolve", "n = 11\ng = 1\nt_max = 333334", False),
+    ("evolve", "n = 11\nomega_a = 1e4\nt_max = 100", True),  # |omega_a| + g
+    ("evolve", "n = 11\nomega_a = 1e4\nt_max = 101", False),
+    ("evolve", "n = 11\nomega_c = -1e4\nt_max = 99.98", True),  # |omega_c| + 2J
+    ("evolve", "n = 11\nomega_c = -1e4\nt_max = 100", False),
+    ("sweep", "n = 11\ng_list = 0.1, 1e5\nt_max = 9.99", True),  # 2J + the largest coupling
+    ("sweep", "n = 11\ng_list = 0.1, 1e5\nt_max = 10", False),
+    ("fig2", "g = 1e5\nt_max = 50", True),  # a preset reads neither key
 ], ids=["g", "g-over", "omega_a", "omega_a-over", "omega_c", "omega_c-over",
         "g_list", "g_list-over", "no-n"])
-def test_energy_time_bound(text, ok):
+def test_energy_time_bound(tmp_path, capsys, command, text, ok):
+    # not parse_config but the engine checks the bound, on what a command evolves
+    cfg, out = tmp_path / "run.cfg", tmp_path / "r"
+    cfg.write_text(text)
+    code = cli_main([command, "--config", str(cfg), "--out", str(out)])
     if ok:
-        parse_config(text)
+        assert code == 0
     else:
-        with pytest.raises(ConfigError, match="line 3: max.E. . t_max must be at most 1e.06"):
-            parse_config(text)
+        assert code == 2
+        assert "line 3: max|E| * t_max must be at most 1e+06" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_parse_config_constraint_with_line_number():
