@@ -101,7 +101,6 @@ def _map_artifacts(values, stem, scale_max, title):
 def _spec(cfg, g) -> ExperimentSpec:
     """The evolve/sweep run of the config at coupling g."""
     return ExperimentSpec(
-        name=f"g{g:g}",
         params=dataclasses.replace(cfg.model_params(), coupling=g),
         x0=cfg.x0 if cfg.x0 is not None else center_site(cfg.n),
         grid=TimeGrid(0.0, cfg.t_max, cfg.samples),

@@ -460,9 +460,21 @@ def test_commands_import_neither_futures_nor_numpy_ma(tmp_path):
     # numpy.ma, which np.unique imports, costs fig4 15-18 ms; 600 samples make 2 chunks
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 12\ng = 1\nsamples = 600\n")
+    assert _fresh_python(_IMPORTS, str(tmp_path / "out"), str(cfg))[-1] == ""
+
+
+def test_importing_the_cli_loads_no_futures_logging_or_numpy_ma():
+    # the chunk pool is plain threads; any of the three would add to every command's setup_s
+    code = ("import sys, jchsim.cli\nprint(' '.join(m for m in ('concurrent.futures', "
+            "'logging', 'numpy.ma') if m in sys.modules))")
+    assert _fresh_python(code) == [""]
+
+
+def _fresh_python(code, *args):
+    """The stdout lines of ``code`` run in a new interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", _IMPORTS, str(tmp_path / "out"), str(cfg)],
-                          env=env, capture_output=True, text=True, timeout=300, check=True)
-    assert done.stdout.splitlines()[-1] == ""
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    return done.stdout.splitlines()

@@ -360,3 +360,21 @@ def test_jacobi_still_solves_entries_just_below_the_overflow():
     h = build_hamiltonian(ModelParams(5, coupling=1.0))
     w, v = jacobi_eigh(h * 2.0**500)
     assert np.array_equal(w, jacobi_eigh(h)[0] * 2.0**500)
+
+
+def test_analytic_matches_a_50_digit_solve_where_g_dwarfs_j():
+    # max|E| * t = 9.9e5, inside MAX_ENERGY_TIME.  The dense oracle is 2.55e-10 off here,
+    # which is why it is not asserted: it fixes each eigenvector inside a +-g cluster of
+    # eigenvalues split on the scale of J only to about eps * g / J
+    mpmath = pytest.importorskip("mpmath")
+    params = ModelParams(7, hopping=1.0, coupling=79287485263.0544)
+    t = 1.0914626702688699e-05
+    atoms = AnalyticPropagator(params).evolve(initial_atomic_excitation(params, 4), t)[7:]
+    with mpmath.workdps(50):
+        energies, vectors = mpmath.eigsy(mpmath.matrix(build_hamiltonian(params).tolist()))
+        weights = [mpmath.expj(-e * mpmath.mpf(t)) * vectors[7 + 3, m]  # atom at x0 = 4
+                   for m, e in enumerate(energies)]
+        exact = sum(abs(mpmath.fdot([vectors[k, m] for m in range(14)], weights)) ** 2
+                    for k in range(7, 14))
+    assert float(exact) == pytest.approx(0.51868844425408877, abs=1e-16)
+    assert abs(np.sum(np.abs(atoms) ** 2) - float(exact)) <= 1e-13

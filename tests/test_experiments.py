@@ -177,6 +177,13 @@ def assert_same_series(a, b):
     assert a.pairs == b.pairs
 
 
+def test_a_spec_runs_without_a_name():
+    spec = ExperimentSpec(params=ModelParams(9, coupling=0.5), x0=5,
+                          grid=TimeGrid(0.0, 20.0, 64), pairs=((2, 5),))
+    assert spec.name == ""
+    assert_same_series(compute_series(spec), compute_series(small_spec()))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_matches_each_spec_alone(monkeypatch, workers):
     specs = _mixed_specs()
@@ -210,16 +217,63 @@ def test_a_failed_chunk_fails_only_its_coupling(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_map_chunks_runs_blas_on_one_thread_and_restores_it(monkeypatch, workers):
+def test_evolve_runs_runs_blas_on_one_thread_and_restores_it(monkeypatch, workers):
     threads = experiments._openblas_threads()
     if threads is None:
         pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
     get, put = threads
     monkeypatch.setattr(experiments, "worker_count", lambda: workers)
+    make, built = experiments.make_propagator, []
+    monkeypatch.setattr(experiments, "make_propagator",
+                        lambda *args: built.append(get()) or make(*args))
+    params = ModelParams(9, coupling=0.5)
     old = get()
     put(2)
     try:
-        assert experiments.map_chunks(lambda rows: get(), time_chunks(600)) == [1, 1, 1]
+        runs = [(method, params, 5, np.linspace(0.0, 20.0, 600), lambda amps: get(),
+                 time_chunks(600)) for method in ("analytic", "dense")]
+        assert experiments.evolve_runs(runs) == [[1, 1, 1], [1, 1, 1]]
+        assert built == [1, 1]
+        assert get() == 2
+    finally:
+        put(old)
+
+
+class _Stop(BaseException):
+    """Leaves evolve_runs, as a KeyboardInterrupt in the waiting caller would."""
+
+
+@pytest.mark.parametrize("interrupt", [False, True])
+def test_evolve_runs_restores_blas_threads_after_a_failed_chunk(monkeypatch, interrupt):
+    threads = experiments._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    get, put = threads
+    map_chunks = experiments.map_chunks
+
+    def interrupted(fn, chunks):
+        results = map_chunks(fn, chunks)
+        if interrupt:
+            raise _Stop
+        return results
+
+    def fail_second(amps):
+        if len(amps) == 3:  # the second of the chunks below
+            raise ValueError("chunk failed")
+        return get()
+
+    monkeypatch.setattr(experiments, "map_chunks", interrupted)
+    run = ("analytic", ModelParams(9, coupling=0.5), 5, np.linspace(0.0, 20.0, 5),
+           fail_second, [slice(0, 2), slice(2, 5)])
+    old = get()
+    put(2)
+    try:
+        if interrupt:
+            with pytest.raises(_Stop):
+                experiments.evolve_runs([run])
+        else:
+            (result,) = experiments.evolve_runs([run])
+            assert isinstance(result, ValueError) and str(result) == "chunk failed"
         assert get() == 2
     finally:
         put(old)
@@ -260,14 +314,23 @@ def test_time_chunks_cover_the_grid_with_no_short_chunk():
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_map_chunks_keeps_order_and_uses_the_pool(monkeypatch, workers):
     monkeypatch.setattr(experiments, "worker_count", lambda: workers)
-    results = experiments.map_chunks(lambda rows: (rows, threading.get_ident()), time_chunks(2000))
-    assert [rows for rows, _ in results] == time_chunks(2000)
-    on_main = {ident == threading.get_ident() for _, ident in results}
-    assert on_main == {workers == 1}
+    chunks = time_chunks(6 * experiments.CHUNK_ROWS)  # 6 chunks: each thread holds one a round
+    barrier = threading.Barrier(workers, timeout=10)
+
+    def meet(rows):  # passes only once ``workers`` threads each hold a chunk
+        barrier.wait()
+        return rows, threading.get_ident()
+
+    results = experiments.map_chunks(meet, chunks)
+    assert [rows for rows, _ in results] == chunks
+    idents = {ident for _, ident in results}
+    # the caller only waits, so no chunk's temporaries come from the main thread's heap
+    assert len(idents) == workers and threading.get_ident() not in idents
 
 
-def test_map_chunks_raises_a_worker_exception(monkeypatch):
-    monkeypatch.setattr(experiments, "worker_count", lambda: 3)
+@pytest.mark.parametrize("workers", [1, 3])
+def test_map_chunks_returns_a_worker_exception(monkeypatch, workers):
+    monkeypatch.setattr(experiments, "worker_count", lambda: workers)
 
     chunks = time_chunks(3000)
 
@@ -276,8 +339,9 @@ def test_map_chunks_raises_a_worker_exception(monkeypatch):
             raise ValueError("chunk 5 failed")
         return rows
 
-    with pytest.raises(ValueError, match="chunk 5 failed"):
-        experiments.map_chunks(fail_one, chunks)
+    results = experiments.map_chunks(fail_one, chunks)
+    assert isinstance(results[5], ValueError) and str(results[5]) == "chunk 5 failed"
+    assert results[:5] + results[6:] == chunks[:5] + chunks[6:]
 
 
 @pytest.mark.parametrize("g_over_j", [1e-3, 0.5, 1.07, 10.0, 97.3, 1e3, 1e150])
