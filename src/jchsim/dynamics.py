@@ -10,9 +10,12 @@ modes, a 2x2 unitary per mode, back to sites) and two subclasses with other tabl
   small against all other detunings.
 * StrongCouplingPropagator -- decoupled polariton chains; meaningful when g
   dominates the free-field bandwidth and the atomic frequency.
-* DenseOraclePropagator -- exact, via a full Jacobi eigendecomposition of the
-  Hamiltonian matrix; shares no formulas with the analytic path beyond
-  ``evolution_phases`` and accepts arbitrary symmetric photon-hopping matrices.
+* DenseOraclePropagator -- exact, via Jacobi eigendecompositions of the
+  Hamiltonian matrix: one each for its mirror-even and mirror-odd sectors when
+  it commutes exactly with the site mirror x -> N+1-x, one for the whole matrix
+  otherwise.  It shares no formulas with the analytic path beyond
+  ``evolution_phases`` (the split rests on an exact symmetry test, not on sine
+  modes) and accepts arbitrary symmetric photon-hopping matrices.
 
 The mode propagators take only the ModelParams and build their own mode table.
 All propagators are immutable after construction and expose
@@ -26,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import evolution_phases, jacobi_eigh
+from .linalg import checked_symmetric, evolution_phases, jacobi_eigh
 from .model import ModelParams, build_hamiltonian
 from .spectral import ModeTable, mode_table, sine_modes
 
@@ -99,13 +102,54 @@ class AnalyticPropagator:
         return states[0] if np.ndim(t) == 0 else states
 
 
+def _sectors(h: np.ndarray) -> list:
+    """(seats, partners, sign) of each block of h that the dense oracle solves on its own.
+
+    If h commutes exactly with the mirror x -> N+1-x of its photon and atom halves,
+    the blocks are the mirror-even (sign +1) and mirror-odd (sign -1) sectors: seat s,
+    a site of the first half of either chain, carries (e_s + sign e_m(s)) / sqrt(2)
+    for its partner m(s), and a centre site of odd N, its own partner, carries e_s in
+    the even sector alone.  Otherwise h is one block, each index its own partner.
+    """
+    n = len(h) // 2
+    sites = np.arange(2 * n).reshape(2, n)  # the photon row, then the atom row
+    mirror = sites[:, ::-1].ravel()
+    if len(h) % 2 or not np.array_equal(h, h[np.ix_(mirror, mirror)]):
+        return [(np.arange(len(h)), np.arange(len(h)), 1.0)]
+    even, odd = sites[:, : (n + 1) // 2].ravel(), sites[:, : n // 2].ravel()
+    return [(s, mirror[s], sign) for s, sign in ((even, 1.0), (odd, -1.0)) if len(s)]
+
+
 class DenseOraclePropagator:
-    """Exact evolution via a full Jacobi eigendecomposition of H."""
+    """Exact evolution via Jacobi eigendecompositions of H, one per mirror-parity sector.
+
+    A Hamiltonian that commutes exactly with the site mirror (every uniform chain
+    ``build_hamiltonian`` and ``build_polariton_hamiltonian`` make) is split into its
+    even and odd sectors, about a quarter of the Jacobi work of the whole matrix; any
+    other symmetric matrix is solved whole.  The sector matrices are taken from the
+    entries of H, with no matrix product, after H passes ``jacobi_eigh``'s checks.
+    """
 
     method = "dense"
 
     def __init__(self, hamiltonian: np.ndarray):
-        self.eigenvalues, self.eigenvectors = jacobi_eigh(hamiltonian)
+        h = checked_symmetric(hamiltonian)[0]
+        values, vectors = [], []
+        for seats, partners, sign in _sectors(h):
+            centre = seats == partners
+            # h[s, t] + sign h[s, m(t)] is the entry between two non-centre seats; a centre
+            # counts its site twice there, so one centre scales it by 1/sqrt(2), two by 1/2
+            half = 0.5 * centre
+            block = h[np.ix_(seats, seats)] + sign * h[np.ix_(seats, partners)]
+            w, v = jacobi_eigh(block * 0.5 ** np.add.outer(half, half))
+            v = v * np.where(centre, 1.0, np.sqrt(0.5))[:, None]
+            u = np.zeros((len(h), len(seats)))
+            u[partners], u[seats] = sign * v, v
+            values.append(w)
+            vectors.append(u)
+        w, u = np.concatenate(values), np.concatenate(vectors, axis=1)
+        order = np.argsort(w, kind="stable")
+        self.eigenvalues, self.eigenvectors = w[order], u[:, order]
 
     def evolve(self, state: np.ndarray, t, atoms_only: bool = False) -> np.ndarray:
         """State at time t, shape (2N,); for an array of times, shape (len(t), 2N).

@@ -144,6 +144,9 @@ def one_blas_thread():
 def map_chunks(fn, chunks) -> list:
     """[fn(rows) for rows in chunks], each slot the result or the Exception fn raised.
 
+    Any other BaseException (a ``sys.exit`` in fn, say) stops the thread that caught it
+    and is raised here once every thread has joined: the first such one in chunk order.
+
     ``min(worker_count(), len(chunks))`` threads claim chunk indices from one shared
     iterator while the caller waits, on one CPU too: glibc serves a main thread's large
     temporaries from a heap that hands its top pages back at each free, and a sweep at
@@ -159,12 +162,18 @@ def map_chunks(fn, chunks) -> list:
                 results[k] = fn(chunks[k])
             except Exception as exc:  # signals raise in the main thread alone
                 results[k] = exc
+            except BaseException as exc:
+                results[k] = exc
+                return
 
     threads = [threading.Thread(target=work) for _ in range(min(worker_count(), len(chunks)))]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
+    for result in results:
+        if isinstance(result, BaseException) and not isinstance(result, Exception):
+            raise result
     return results
 
 

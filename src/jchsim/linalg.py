@@ -26,6 +26,23 @@ _JACOBI_MAX_SWEEPS = 100
 _SIGNS = np.array([[-1.0], [1.0]])  # -s for p, s for q
 
 
+def checked_symmetric(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """(a as a float array, its Frobenius norm), or the ValueError ``jacobi_eigh`` refuses a with."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix")
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(a)
+    if not np.isfinite(scale):
+        raise ValueError(f"matrix norm is {scale}: entries must be finite and below 1e154")
+    if scale == 0.0 and a.any():
+        raise ValueError("matrix norm underflows to 0 for a nonzero matrix: "
+                         "its largest entry must be at least about 1.6e-162")
+    if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
+        raise ValueError("matrix is not symmetric")
+    return a, scale
+
+
 def jacobi_eigh(a: np.ndarray):
     """Eigendecomposition of a real symmetric matrix by round-robin Jacobi.
 
@@ -46,19 +63,8 @@ def jacobi_eigh(a: np.ndarray):
     1.6e-162, which would otherwise come back unrotated), and ConvergenceError
     if ``_JACOBI_MAX_SWEEPS`` sweeps do not converge.
     """
-    original = np.asarray(a, dtype=float)
+    original, scale = checked_symmetric(a)
     a = original.copy()
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    with np.errstate(over="ignore"):
-        scale = np.linalg.norm(a)
-    if not np.isfinite(scale):
-        raise ValueError(f"matrix norm is {scale}: entries must be finite and below 1e154")
-    if scale == 0.0 and a.any():
-        raise ValueError("matrix norm underflows to 0 for a nonzero matrix: "
-                         "its largest entry must be at least about 1.6e-162")
-    if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise ValueError("matrix is not symmetric")
     n = a.shape[0]
     if scale == 0.0 or n == 1:
         order = np.argsort(np.diag(a))

@@ -344,6 +344,37 @@ def test_map_chunks_returns_a_worker_exception(monkeypatch, workers):
     assert results[:5] + results[6:] == chunks[:5] + chunks[6:]
 
 
+def _stop(code):
+    raise _Stop(code)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("halt", [sys.exit, _stop], ids=["sys.exit", "custom"])
+def test_map_chunks_raises_a_worker_base_exception_once_all_threads_join(monkeypatch, workers,
+                                                                         halt):
+    # such a chunk left its slot None, and the map returned as if nothing happened
+    monkeypatch.setattr(experiments, "worker_count", lambda: workers)
+    chunks = time_chunks(3000)
+    done, threads = [], threading.enumerate()
+
+    def halt_at_five(rows):
+        if rows == chunks[5]:
+            halt(1)
+        if rows == chunks[2]:
+            raise ValueError("an Exception stays its slot's value")
+        done.append(rows)
+        return rows
+
+    with pytest.raises((SystemExit, _Stop)) as info:
+        experiments.map_chunks(halt_at_five, chunks)
+    assert type(info.value) is (SystemExit if halt is sys.exit else _Stop)
+    assert info.value.args == (1,)
+    assert threading.enumerate() == threads
+    # the thread that caught it claims no more chunks; the other threads run to the end
+    expected = chunks[:2] + chunks[3:5] + (chunks[6:] if workers > 1 else [])
+    assert sorted(done, key=lambda rows: rows.start) == expected
+
+
 @pytest.mark.parametrize("g_over_j", [1e-3, 0.5, 1.07, 10.0, 97.3, 1e3, 1e150])
 def test_fig4_grid_equals_unique_of_the_snapped_grid(g_over_j):
     period = math.pi / g_over_j
