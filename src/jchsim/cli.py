@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import io as jio
 from . import svg
-from .dynamics import TimeGrid
+from .dynamics import METHODS, TimeGrid
 from .experiments import (
     EnergyTimeError,
     ExperimentSpec,
@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 _HELP = {
     "out": "output directory",
-    "method": "propagator: analytic, dense, weak or strong",
+    "method": "propagator: %s or %s" % (", ".join([*METHODS][:-1]), [*METHODS][-1]),
     "samples": "number of time samples",
     "t_max": "end of the time grid, units 1/J",
     "pairs": "concurrence channels, i:j[,i:j...]",

@@ -31,7 +31,7 @@ import numpy as np
 
 from .linalg import checked_symmetric, evolution_phases, jacobi_eigh
 from .model import ModelParams, build_hamiltonian
-from .spectral import ModeTable, mode_table, sine_modes
+from .spectral import BRANCH_SIGNS, ModeTable, mode_table, sine_modes
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,10 @@ def _split(state, n):
 class AnalyticPropagator:
     """Exact evolution through the sine modes, one 2x2 dressed block per mode.
 
-    Mode amplitudes (a, b) go into branches p_pm = a_pm a + b_pm b turning at
-    eps_pm; ``table`` gives the (a_pm, b_pm, eps_pm), which the effective
-    subclasses replace.
+    Mode amplitudes (a, b) go into branches p_s = a[s] a + b[s] b turning at
+    eps[s], s = 0 for '+' and 1 for '-'; ``table`` gives the (a, b, eps) rows,
+    which the effective subclasses replace.
     """
-
-    method = "analytic"
 
     def __init__(self, params: ModelParams):
         self.params = params
@@ -90,14 +88,15 @@ class AnalyticPropagator:
         cf, ca = _split(state, self.params.n_cavities)
         a = v @ cf
         b = v @ ca
-        # branch coordinates per mode, evolved by their eigenphases
-        p_plus = (m.a_plus * a + m.b_plus * b) * evolution_phases(m.eps_plus, times)
-        p_minus = (m.a_minus * a + m.b_minus * b) * evolution_phases(m.eps_minus, times)
-        b_t = m.b_plus * p_plus + m.b_minus * p_minus
+        # branch coordinates per mode, evolved by their eigenphases one branch at a
+        # time, so that only one (len(t), N) phase table is alive at once
+        coords = m.a * a + m.b * b
+        p = [coords[s] * evolution_phases(m.eps[s], times) for s in (0, 1)]
+        b_t = m.b[0] * p[0] + m.b[1] * p[1]
         if atoms_only:
             states = b_t @ v
         else:
-            a_t = m.a_plus * p_plus + m.a_minus * p_minus
+            a_t = m.a[0] * p[0] + m.a[1] * p[1]
             states = np.concatenate([a_t @ v, b_t @ v], axis=1)
         return states[0] if np.ndim(t) == 0 else states
 
@@ -129,8 +128,6 @@ class DenseOraclePropagator:
     other symmetric matrix is solved whole.  The sector matrices are taken from the
     entries of H, with no matrix product, after H passes ``jacobi_eigh``'s checks.
     """
-
-    method = "dense"
 
     def __init__(self, hamiltonian: np.ndarray):
         h = checked_symmetric(hamiltonian)[0]
@@ -179,8 +176,6 @@ class WeakCouplingPropagator(AnalyticPropagator):
     large.
     """
 
-    method = "weak"
-
     @property
     def resonant_mode(self) -> int:
         return _resonant_mode(self.modes)
@@ -195,10 +190,10 @@ class WeakCouplingPropagator(AnalyticPropagator):
         w_a, g, h = self.params.atom_freq, self.params.coupling, np.sqrt(0.5)
         # off-resonant modes keep their bare phases ('+' the photon, '-' the atom);
         # the resonant block rotates at the atomic frequency and Rabi-flops
-        return replace(modes, a_plus=np.where(res, h, 1.0), b_plus=np.where(res, h, 0.0),
-                       a_minus=np.where(res, h, 0.0), b_minus=np.where(res, -h, 1.0),
-                       eps_plus=np.where(res, w_a + g, modes.frequencies),
-                       eps_minus=np.where(res, w_a - g, w_a))
+        bare = np.stack([modes.frequencies, np.full_like(modes.frequencies, w_a)])
+        return replace(modes, a=np.where(res, h, [[1.0], [0.0]]),
+                       b=np.where(res, h * BRANCH_SIGNS, [[0.0], [1.0]]),
+                       eps=np.where(res, w_a + BRANCH_SIGNS * g, bare))
 
 
 class StrongCouplingPropagator(AnalyticPropagator):
@@ -207,8 +202,6 @@ class StrongCouplingPropagator(AnalyticPropagator):
     ``validity`` is (bandwidth + atomic frequency) relative to g; small means
     the dropped inter-branch terms rotate fast and the approximation is good.
     """
-
-    method = "strong"
 
     @property
     def validity(self) -> float:
@@ -219,10 +212,9 @@ class StrongCouplingPropagator(AnalyticPropagator):
 
     def table(self, modes: ModeTable) -> ModeTable:
         # polariton branches, each a chain with hopping J/2 (mode energy w_k/2)
-        half = np.full(self.params.n_cavities, np.sqrt(0.5))
-        g = self.params.coupling
-        return replace(modes, a_plus=half, a_minus=half, b_plus=half, b_minus=-half,
-                       eps_plus=modes.frequencies / 2.0 + g, eps_minus=modes.frequencies / 2.0 - g)
+        half = np.full((2, self.params.n_cavities), np.sqrt(0.5))
+        return replace(modes, a=half, b=half * BRANCH_SIGNS,
+                       eps=modes.frequencies / 2.0 + BRANCH_SIGNS * self.params.coupling)
 
 
 def weak_coupling_amplitudes(x0, t, modes, resonant_mode):
@@ -276,14 +268,20 @@ def build_polariton_hamiltonian(params: ModelParams, drop_cross_terms: bool) -> 
     return h
 
 
+# every propagation method by name, with the constructor that builds it from ModelParams
+METHODS = {
+    "analytic": AnalyticPropagator,
+    "dense": lambda params: DenseOraclePropagator(build_hamiltonian(params)),
+    "weak": WeakCouplingPropagator,
+    "strong": StrongCouplingPropagator,
+}
+
+
 def make_propagator(method: str, params: ModelParams):
     """Propagator factory keyed by method name."""
-    if method == "dense":
-        return DenseOraclePropagator(build_hamiltonian(params))
-    for cls in (AnalyticPropagator, WeakCouplingPropagator, StrongCouplingPropagator):
-        if cls.method == method:
-            return cls(params)
-    raise ValueError(f"unknown propagation method {method!r}")
+    if method not in METHODS:
+        raise ValueError(f"unknown propagation method {method!r}")
+    return METHODS[method](params)
 
 
 def evolve_series(state0: np.ndarray, grid: TimeGrid, prop) -> np.ndarray:

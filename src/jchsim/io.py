@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .dynamics import METHODS
 from .model import MAX_ENERGY, ModelParams
 
 
@@ -47,7 +48,6 @@ class RunConfig:
         )
 
 
-_METHODS = ("analytic", "dense", "weak", "strong")
 _FLOATS = ("j", "g", "omega_c", "omega_a", "t_max", "scale_max")
 _FLOAT_LISTS = ("snapshot_times", "g_list")
 _ENERGIES = ("j", "g", "omega_c", "omega_a", "g_list")
@@ -70,8 +70,8 @@ def _parse_value(key, raw):
     if key in _FLOATS:
         return float(raw)
     if key == "method":
-        if raw not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
+        if raw not in METHODS:
+            raise ValueError(f"method must be one of {tuple(METHODS)}")
         return raw
     if key == "pairs":
         return parse_pairs(raw)
@@ -214,4 +214,4 @@ def write_modes_csv(modes, path):
     """Mode table as CSV: m, k, omega_k, delta_k, rabi_k, eps_plus, eps_minus."""
     write_csv(path, ["m", "k", "omega_k", "delta_k", "rabi_k", "eps_plus", "eps_minus"],
               [np.arange(1, len(modes.momenta) + 1), modes.momenta, modes.frequencies,
-               modes.detunings, modes.rabi, modes.eps_plus, modes.eps_minus])
+               modes.detunings, modes.rabi, *modes.eps])

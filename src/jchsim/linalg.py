@@ -31,6 +31,8 @@ def checked_symmetric(a: np.ndarray) -> tuple[np.ndarray, float]:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
+    if a.size == 0:
+        raise ValueError("expected a nonempty matrix, got shape (0, 0)")
     with np.errstate(over="ignore"):
         scale = np.linalg.norm(a)
     if not np.isfinite(scale):
@@ -57,11 +59,12 @@ def jacobi_eigh(a: np.ndarray):
     the off-diagonal Frobenius norm drops below ``_JACOBI_TOL`` relative to
     the matrix norm.  Returns (eigenvalues ascending, eigenvectors as columns).
 
-    Raises ValueError if the matrix norm is not finite (entries of about
-    1.3e154 and up overflow it, and the convergence test would then pass at
-    once) or underflows to 0 for a nonzero matrix (entries below about
-    1.6e-162, which would otherwise come back unrotated), and ConvergenceError
-    if ``_JACOBI_MAX_SWEEPS`` sweeps do not converge.
+    Raises ValueError if the matrix is empty (0 x 0), if its norm is not
+    finite (entries of about 1.3e154 and up overflow it, and the convergence
+    test would then pass at once) or if it underflows to 0 for a nonzero
+    matrix (entries below about 1.6e-162, which would otherwise come back
+    unrotated), and ConvergenceError if ``_JACOBI_MAX_SWEEPS`` sweeps do not
+    converge.
     """
     original, scale = checked_symmetric(a)
     a = original.copy()

@@ -4,8 +4,9 @@ For a uniform open chain the photon normal modes are standing waves
 v_{k,x} = sqrt(2/(N+1)) sin(kx) with k = pi*m/(N+1), m = 1..N, at frequencies
 omega_k = omega_c - 2J cos(k).  Each mode hybridizes with its atomic
 counterpart through a 2x2 block, giving two dressed branches per mode.
-:func:`mode_table` returns both as one ``ModeTable``: the table that
-``AnalyticPropagator`` applies, and its weak and strong subclasses replace.
+:func:`mode_table` returns both as the two rows of one ``ModeTable``, '+' then
+'-' (``BRANCH_SIGNS``): the table that ``AnalyticPropagator`` applies, and its
+weak and strong subclasses replace.
 """
 
 import functools
@@ -16,13 +17,18 @@ import numpy as np
 from .model import ModelParams
 
 
+# the branch axis of a ModeTable: row 0 is branch '+', row 1 branch '-'
+BRANCH_SIGNS = np.array([[1.0], [-1.0]])
+BRANCH_SIGNS.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class ModeTable:
     """Normal modes plus the 2x2 block of each mode.
 
-    ``vectors[m-1, x-1]`` holds v_{k,x}.  Branch '+' or '-' of mode m has
-    photon weight ``a_plus``/``a_minus``, atomic weight ``b_plus``/``b_minus``
-    and energy ``eps_plus``/``eps_minus`` at index m-1.
+    ``vectors[m-1, x-1]`` holds v_{k,x}.  ``a``, ``b`` and ``eps`` have shape
+    (2, N), row 0 for branch '+' and row 1 for branch '-': branch s of mode m has
+    photon weight ``a[s, m-1]``, atomic weight ``b[s, m-1]`` and energy ``eps[s, m-1]``.
     """
 
     params: ModelParams
@@ -31,12 +37,9 @@ class ModeTable:
     vectors: np.ndarray
     detunings: np.ndarray
     rabi: np.ndarray
-    a_plus: np.ndarray
-    a_minus: np.ndarray
-    b_plus: np.ndarray
-    b_minus: np.ndarray
-    eps_plus: np.ndarray
-    eps_minus: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    eps: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -63,29 +66,11 @@ def mode_table(params: ModelParams) -> ModeTable:
     delta = params.atom_freq - frequencies
     rabi = np.hypot(delta, 2.0 * g)
     mean = 0.5 * (params.atom_freq + frequencies)
-    eps_plus = mean + 0.5 * rabi
-    eps_minus = mean - 0.5 * rabi
-
-    def branch(sign):
-        num = delta + sign * rabi
-        r = np.hypot(num, 2.0 * g)
-        a = np.empty_like(r)
-        b = np.empty_like(r)
-        ok = r > 0
-        a[ok] = 2.0 * g / r[ok]
-        b[ok] = num[ok] / r[ok]
-        # r == 0 only at g == 0; the branch is then a bare mode.  At exact
-        # degeneracy (delta == 0 too) put '+' on the photon and '-' on the
-        # atom so the pair stays orthogonal.
-        bare_atom = (~ok) & (delta == 0) & (sign < 0)
-        a[~ok] = 1.0
-        b[~ok] = 0.0
-        a[bare_atom] = 0.0
-        b[bare_atom] = 1.0
-        return a, b
-
-    a_plus, b_plus = branch(+1.0)
-    a_minus, b_minus = branch(-1.0)
+    num = delta + BRANCH_SIGNS * rabi
+    r = np.hypot(num, 2.0 * g)
+    # r == 0 only at g == 0; the branch is then a bare mode, the photon unless at
+    # exact degeneracy (delta == 0 too), where '-' is the atom so the pair stays orthogonal
+    bare_atom = (r == 0) & (delta == 0) & (BRANCH_SIGNS < 0)
     return ModeTable(
         params=params,
         momenta=k,
@@ -93,22 +78,15 @@ def mode_table(params: ModelParams) -> ModeTable:
         vectors=vectors,
         detunings=delta,
         rabi=rabi,
-        a_plus=a_plus,
-        a_minus=a_minus,
-        b_plus=b_plus,
-        b_minus=b_minus,
-        eps_plus=eps_plus,
-        eps_minus=eps_minus,
+        a=np.divide(2.0 * g, r, out=np.where(bare_atom, 0.0, 1.0), where=r > 0),
+        b=np.divide(num, r, out=np.where(bare_atom, 1.0, 0.0), where=r > 0),
+        eps=mean + 0.5 * BRANCH_SIGNS * rabi,
     )
 
 
 def eigenstate_vector(modes: ModeTable, m: int, branch: str) -> np.ndarray:
     """Full 2N eigenvector of mode m (1-based) on branch '+' or '-'."""
-    if branch == "+":
-        a, b = modes.a_plus[m - 1], modes.b_plus[m - 1]
-    elif branch == "-":
-        a, b = modes.a_minus[m - 1], modes.b_minus[m - 1]
-    else:
+    if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-    v = modes.vectors[m - 1]
-    return np.concatenate([a * v, b * v]).astype(complex)
+    row, v = "+-".index(branch), modes.vectors[m - 1]
+    return np.concatenate([modes.a[row, m - 1] * v, modes.b[row, m - 1] * v]).astype(complex)

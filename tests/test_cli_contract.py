@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from jchsim import io
 from jchsim.cli import cli_main
+from jchsim.dynamics import METHODS
 
-_METHODS = ("analytic", "dense", "weak", "strong")
 _ENERGIES = ("j", "g", "omega_c", "omega_a")
 
 # any magnitude from 1e-300 to the largest double, its edges drawn often
@@ -51,7 +51,7 @@ def _configs(draw):
     near_bound = st.floats(-7.0, 0.1).map(lambda e: 10.0**e * 1e6 / (scale or 1.0))
     keys["t_max"] = _mostly(draw, near_bound, _REALS)
     keys["samples"] = draw(st.integers(2, 64))
-    keys["method"] = draw(st.sampled_from(_METHODS))
+    keys["method"] = draw(st.sampled_from(tuple(METHODS)))
     if draw(st.booleans()):
         keys["x0"] = _mostly(draw, st.integers(1, n), st.sampled_from([0, n + 1]))
     if draw(st.booleans()):

@@ -78,7 +78,7 @@ def test_hamiltonian_eigenvalues_match_dressed_energies():
     params = ModelParams(3, hopping=1.0, coupling=1e3)
     w = np.sort(np.linalg.eigvalsh(build_hamiltonian(params)))
     mt = mode_table(params)
-    eps = np.sort(np.concatenate([mt.eps_plus, mt.eps_minus]))
+    eps = np.sort(mt.eps.ravel())
     assert np.abs(w - eps).max() <= 1e-10
 
 
@@ -128,9 +128,9 @@ def test_energies_at_the_bound_give_finite_tables_and_spectra():
     # g = 8e307 once overflowed the branch weights to an all-zero table
     params = ModelParams(5, hopping=MAX_ENERGY, coupling=MAX_ENERGY, atom_freq=-MAX_ENERGY)
     mt = mode_table(params)
-    for name in ("rabi", "a_plus", "a_minus", "b_plus", "b_minus", "eps_plus", "eps_minus"):
+    for name in ("rabi", "a", "b", "eps"):
         assert np.all(np.isfinite(getattr(mt, name))), name
-    assert np.allclose(mt.a_plus**2 + mt.b_plus**2, 1.0)
+    assert np.allclose(mt.a[0]**2 + mt.b[0]**2, 1.0)
     w = jacobi_eigh(build_hamiltonian(params))[0]
-    assert np.allclose(w, np.sort(np.concatenate([mt.eps_plus, mt.eps_minus])),
+    assert np.allclose(w, np.sort(mt.eps.ravel()),
                        rtol=0, atol=1e-12 * MAX_ENERGY)

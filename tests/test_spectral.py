@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,14 +44,14 @@ def test_frequencies_strictly_increasing():
 
 def test_dressed_amplitude_normalization():
     mt = mode_table(ModelParams(11, coupling=0.7, atom_freq=0.3))
-    assert np.abs(mt.a_plus**2 + mt.b_plus**2 - 1.0).max() <= 1e-12
-    assert np.abs(mt.a_minus**2 + mt.b_minus**2 - 1.0).max() <= 1e-12
+    assert np.abs(mt.a[0]**2 + mt.b[0]**2 - 1.0).max() <= 1e-12
+    assert np.abs(mt.a[1]**2 + mt.b[1]**2 - 1.0).max() <= 1e-12
 
 
 def test_dressed_energy_sum_and_gap():
     mt = mode_table(ModelParams(11, coupling=0.7, atom_freq=0.3))
-    assert np.abs(mt.eps_plus + mt.eps_minus - (0.3 + mt.frequencies)).max() <= 1e-12
-    assert np.abs(mt.eps_plus - mt.eps_minus - mt.rabi).max() <= 1e-12
+    assert np.abs(mt.eps[0] + mt.eps[1] - (0.3 + mt.frequencies)).max() <= 1e-12
+    assert np.abs(mt.eps[0] - mt.eps[1] - mt.rabi).max() <= 1e-12
 
 
 def test_resonant_mode_dressing():
@@ -57,11 +59,11 @@ def test_resonant_mode_dressing():
     mt = mode_table(ModelParams(41, coupling=0.5))
     m = 20
     assert abs(mt.detunings[m]) <= 1e-14
-    assert abs(mt.a_plus[m] - 1 / np.sqrt(2)) <= 1e-12
-    assert abs(mt.b_plus[m] - 1 / np.sqrt(2)) <= 1e-12
-    assert abs(mt.b_minus[m] + 1 / np.sqrt(2)) <= 1e-12
-    assert abs(mt.eps_plus[m] - 0.5) <= 1e-12
-    assert abs(mt.eps_minus[m] + 0.5) <= 1e-12
+    assert abs(mt.a[0, m] - 1 / np.sqrt(2)) <= 1e-12
+    assert abs(mt.b[0, m] - 1 / np.sqrt(2)) <= 1e-12
+    assert abs(mt.b[1, m] + 1 / np.sqrt(2)) <= 1e-12
+    assert abs(mt.eps[0, m] - 0.5) <= 1e-12
+    assert abs(mt.eps[1, m] + 0.5) <= 1e-12
 
 
 def test_decoupled_limit_bare_modes():
@@ -70,8 +72,32 @@ def test_decoupled_limit_bare_modes():
     params = ModelParams(5, coupling=0.0, atom_freq=10.0)
     mt = mode_table(params)
     assert np.all(mt.detunings > 0)
-    assert np.abs(mt.a_plus).max() <= 1e-14
-    assert np.abs(mt.b_plus - 1.0).max() <= 1e-14
+    assert np.abs(mt.a[0]).max() <= 1e-14
+    assert np.abs(mt.b[0] - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n,resonant", [(9, 3), (10, 0), (41, 20), (41, 40)])
+def test_decoupled_table_holds_bare_modes_on_both_sides_of_resonance(n, resonant):
+    # omega_a is one mode's exact frequency: modes below it have delta > 0, modes above
+    # delta < 0, and that mode delta == 0, the degenerate case the atom row is kept for
+    omega_a = float(mode_table(ModelParams(n)).frequencies[resonant])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mt = mode_table(ModelParams(n, coupling=0.0, atom_freq=omega_a))
+    assert mt.a.shape == mt.b.shape == mt.eps.shape == (2, n)
+    delta = mt.detunings
+    assert delta[resonant] == 0.0 and np.all(delta[:resonant] > 0) and np.all(delta[resonant + 1:] < 0)
+    photon = (mt.a == 1.0) & (mt.b == 0.0)
+    atom = (mt.a == 0.0) & (np.abs(mt.b) == 1.0)
+    assert np.all(photon | atom)
+    # each mode has one photon and one atom, '+' on the higher bare energy
+    assert np.array_equal(photon[0], delta <= 0) and np.array_equal(atom[0], delta > 0)
+    assert np.array_equal(photon[1], ~photon[0])
+    assert photon[0, resonant] and mt.b[1, resonant] == 1.0
+    assert np.abs(np.where(photon, mt.frequencies, omega_a) - mt.eps).max() <= 1e-14
+    for m in range(n):
+        block = np.array([mt.a[:, m], mt.b[:, m]]).T  # rows '+' and '-'
+        assert np.array_equal(block @ block.T, np.eye(2)), m
 
 
 def test_eigenstate_residuals_across_regimes():
@@ -82,7 +108,7 @@ def test_eigenstate_residuals_across_regimes():
         mt = mode_table(params)
         hmax = np.abs(h).max()
         for m in range(1, 10):
-            for branch, eps in (("+", mt.eps_plus[m - 1]), ("-", mt.eps_minus[m - 1])):
+            for branch, eps in (("+", mt.eps[0, m - 1]), ("-", mt.eps[1, m - 1])):
                 psi = eigenstate_vector(mt, m, branch)
                 assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
                 assert np.linalg.norm(h @ psi - eps * psi) <= 1e-10 * hmax
@@ -99,13 +125,15 @@ def test_eigenstate_vector_validation():
     modes = mode_table(ModelParams(5, coupling=0.3))
     with pytest.raises(ValueError):
         eigenstate_vector(modes, 1, "x")
+    with pytest.raises(ValueError, match="branch must be"):
+        eigenstate_vector(modes, 1, "")
 
 
 @pytest.mark.parametrize("n", [3, 16, 41, 64])
 def test_spectrum_matches_jacobi(n):
     params = ModelParams(n, coupling=0.2, atom_freq=0.0)
     mt = mode_table(params)
-    analytic = np.sort(np.concatenate([mt.eps_plus, mt.eps_minus]))
+    analytic = np.sort(mt.eps.ravel())
     w, _ = jacobi_eigh(build_hamiltonian(params))
     assert np.abs(analytic - w).max() <= 1e-10
 
