@@ -10,12 +10,14 @@ modes, a 2x2 unitary per mode, back to sites) and two subclasses with other tabl
   small against all other detunings.
 * StrongCouplingPropagator -- decoupled polariton chains; meaningful when g
   dominates the free-field bandwidth and the atomic frequency.
-* DenseOraclePropagator -- exact, via Jacobi eigendecompositions of the
-  Hamiltonian matrix: one each for its mirror-even and mirror-odd sectors when
-  it commutes exactly with the site mirror x -> N+1-x, one for the whole matrix
-  otherwise.  It shares no formulas with the analytic path beyond
-  ``evolution_phases`` (the split rests on an exact symmetry test, not on sine
-  modes) and accepts arbitrary symmetric photon-hopping matrices.
+* DenseOraclePropagator -- exact, via Jacobi eigendecompositions taken from
+  the entries of the Hamiltonian matrix: when its photon-atom and atom blocks
+  are exactly g I and w_a I, one of the photon block (per mirror sector when it
+  equals its mirror x -> N+1-x exactly) and one of all N mode-atom pairs,
+  which a single Jacobi round turns; one of the whole matrix otherwise.  It
+  shares no formulas with the analytic path beyond ``evolution_phases`` (the
+  splits rest on exact structure tests, not on sine modes or closed forms) and
+  accepts arbitrary symmetric photon-hopping matrices.
 
 The mode propagators take only the ModelParams and build their own mode table.
 All propagators are immutable after construction and expose
@@ -101,52 +103,61 @@ class AnalyticPropagator:
         return states[0] if np.ndim(t) == 0 else states
 
 
-def _sectors(h: np.ndarray) -> list:
-    """(seats, partners, sign) of each block of h that the dense oracle solves on its own.
+def _chain_eigh(c: np.ndarray):
+    """Jacobi eigenpairs of a symmetric chain block c, one solve per mirror sector if it has them.
 
-    If h commutes exactly with the mirror x -> N+1-x of its photon and atom halves,
-    the blocks are the mirror-even (sign +1) and mirror-odd (sign -1) sectors: seat s,
-    a site of the first half of either chain, carries (e_s + sign e_m(s)) / sqrt(2)
-    for its partner m(s), and a centre site of odd N, its own partner, carries e_s in
-    the even sector alone.  Otherwise h is one block, each index its own partner.
+    If c equals its mirror x -> N+1-x exactly, seat s of the chain's first half carries
+    (e_s + sign e_m(s)) / sqrt(2) for its partner m(s) in the mirror-even (sign +1) and
+    mirror-odd (sign -1) sectors, and a centre site of odd N, its own partner, carries e_s
+    in the even sector alone.  Otherwise c is solved whole.
     """
-    n = len(h) // 2
-    sites = np.arange(2 * n).reshape(2, n)  # the photon row, then the atom row
-    mirror = sites[:, ::-1].ravel()
-    if len(h) % 2 or not np.array_equal(h, h[np.ix_(mirror, mirror)]):
-        return [(np.arange(len(h)), np.arange(len(h)), 1.0)]
-    even, odd = sites[:, : (n + 1) // 2].ravel(), sites[:, : n // 2].ravel()
-    return [(s, mirror[s], sign) for s, sign in ((even, 1.0), (odd, -1.0)) if len(s)]
+    n = len(c)
+    mirror = np.arange(n)[::-1]
+    if n < 2 or not np.array_equal(c, c[np.ix_(mirror, mirror)]):
+        return jacobi_eigh(c)
+    values, vectors = [], []
+    for seats, sign in ((np.arange((n + 1) // 2), 1.0), (np.arange(n // 2), -1.0)):
+        partners = mirror[seats]
+        centre = seats == partners
+        # c[s, t] + sign c[s, m(t)] is the entry between two non-centre seats; the centre
+        # counts its site twice there, so it scales its row and column by 1/sqrt(2)
+        half = 0.5 * centre
+        block = c[np.ix_(seats, seats)] + sign * c[np.ix_(seats, partners)]
+        w, v = jacobi_eigh(block * 0.5 ** np.add.outer(half, half))
+        v = v * np.where(centre, 1.0, np.sqrt(0.5))[:, None]
+        u = np.zeros((n, len(seats)))
+        u[partners], u[seats] = sign * v, v
+        values.append(w)
+        vectors.append(u)
+    return np.concatenate(values), np.concatenate(vectors, axis=1)
 
 
 class DenseOraclePropagator:
-    """Exact evolution via Jacobi eigendecompositions of H, one per mirror-parity sector.
+    """Exact evolution via Jacobi eigendecompositions: the photon chain, then one round of pairs.
 
-    A Hamiltonian that commutes exactly with the site mirror (every uniform chain
-    ``build_hamiltonian`` and ``build_polariton_hamiltonian`` make) is split into its
-    even and odd sectors, about a quarter of the Jacobi work of the whole matrix; any
-    other symmetric matrix is solved whole.  The sector matrices are taken from the
-    entries of H, with no matrix product, after H passes ``jacobi_eigh``'s checks.
+    When H is exactly [[H_c, g I], [g I, w_a I]] (as ``build_hamiltonian`` makes it), it
+    commutes with diag(H_c, H_c): H_c = V diag(lam) V^T is solved alone, by mirror sector
+    when it equals its mirror exactly, and the N blocks [[lam_k, g], [g, w_a]] in one
+    2N-matrix solve that places mode k at index k and its atom at 2N-1-k, the pairs that
+    round 0 of the Jacobi schedule turns together.  diag(V, V) maps the vectors back.  Any
+    other symmetric matrix is solved whole.  Every matrix is taken from the entries of H,
+    with no product, after H passes ``jacobi_eigh``'s checks.
     """
 
     def __init__(self, hamiltonian: np.ndarray):
         h = checked_symmetric(hamiltonian)[0]
-        values, vectors = [], []
-        for seats, partners, sign in _sectors(h):
-            centre = seats == partners
-            # h[s, t] + sign h[s, m(t)] is the entry between two non-centre seats; a centre
-            # counts its site twice there, so one centre scales it by 1/sqrt(2), two by 1/2
-            half = 0.5 * centre
-            block = h[np.ix_(seats, seats)] + sign * h[np.ix_(seats, partners)]
-            w, v = jacobi_eigh(block * 0.5 ** np.add.outer(half, half))
-            v = v * np.where(centre, 1.0, np.sqrt(0.5))[:, None]
-            u = np.zeros((len(h), len(seats)))
-            u[partners], u[seats] = sign * v, v
-            values.append(w)
-            vectors.append(u)
-        w, u = np.concatenate(values), np.concatenate(vectors, axis=1)
-        order = np.argsort(w, kind="stable")
-        self.eigenvalues, self.eigenvectors = w[order], u[:, order]
+        n, k = len(h) // 2, np.arange(len(h) // 2)
+        g, w_a, eye = h[n, 0], h[n, n], np.eye(n)
+        if len(h) % 2 or not (np.array_equal(h, h.T) and np.array_equal(h[n:, :n], g * eye)
+                              and np.array_equal(h[n:, n:], w_a * eye)):
+            self.eigenvalues, self.eigenvectors = jacobi_eigh(h)
+            return
+        lam, v = _chain_eigh(h[:n, :n])
+        pairs = np.zeros_like(h)
+        pairs[k, k], pairs[~k, ~k], pairs[k, ~k], pairs[~k, k] = lam, w_a, g, g
+        w, y = jacobi_eigh(pairs)
+        # a column of y[k] or y[~k] holds at most one nonzero, so each product is one rounding
+        self.eigenvalues, self.eigenvectors = w, np.concatenate([v @ y[k], v @ y[~k]])
 
     def evolve(self, state: np.ndarray, t, atoms_only: bool = False) -> np.ndarray:
         """State at time t, shape (2N,); for an array of times, shape (len(t), 2N).

@@ -403,6 +403,19 @@ def test_hopping_below_the_energy_bound_is_config_error(tmp_path, capsys):
     assert series["dense"][1:, 2].min() < 0.9  # the excitation leaves the atom
 
 
+def test_dense_and_analytic_series_agree_where_g_dwarfs_j(tmp_path):
+    # max|E| * t_max = 9.1e5: a Jacobi solve of the whole H left the dense series 1.5e-8 off
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 12\ng = 1.3e8\nt_max = 7e-3\nsamples = 600\n")
+    series = {}
+    for method in ("analytic", "dense"):
+        assert cli_main(["evolve", "--config", str(cfg), "--method", method,
+                         "--out", str(tmp_path / method)]) == 0
+        series[method] = io.read_csv(tmp_path / method / "evolve_series.csv")[1]
+    assert np.array_equal(series["analytic"][:, 0], series["dense"][:, 0])
+    assert np.abs(series["analytic"] - series["dense"])[:, 1:].max() <= 1e-10
+
+
 @pytest.mark.parametrize("command, text, files", [
     ("modes", "n = 5\nj = 1e150\n", ["modes.csv"]),  # modes evolves nothing
     ("evolve", "n = 11\ng_list = 1e5\ng = 1\nt_max = 50\nsamples = 16\n",

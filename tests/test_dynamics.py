@@ -393,8 +393,9 @@ def test_dense_sectors_match_one_full_solve(monkeypatch, n):
     h = build_hamiltonian(params)
     sizes = _recorded_solves(monkeypatch)
     dense = DenseOraclePropagator(h)
-    # the mirror-even sector holds the centre sites of an odd N
-    assert sizes == [n + n % 2, n - n % 2]
+    # the chain's two mirror sectors (the even one holds the centre site of an odd N),
+    # then every mode with its atom in one 2N solve
+    assert sizes == [(n + 1) // 2, n // 2, 2 * n]
     w, u = dense.eigenvalues, dense.eigenvectors
     assert np.all(np.diff(w) >= 0)
     assert np.abs(w - jacobi_eigh(h)[0]).max() <= 1e-12 * np.linalg.norm(h)
@@ -404,49 +405,98 @@ def test_dense_sectors_match_one_full_solve(monkeypatch, n):
 
 @pytest.mark.parametrize("drop_cross_terms", [False, True])
 @pytest.mark.parametrize("n", [8, 9])
-def test_polariton_hamiltonians_take_the_sector_split(monkeypatch, n, drop_cross_terms):
+def test_polariton_hamiltonians_are_solved_whole(monkeypatch, n, drop_cross_terms):
+    # their atom block is a chain, not w_a I, so they have no photon-chain split
     params = ModelParams(n, coupling=2.0, cavity_freq=0.3, atom_freq=-0.1)
     h = build_polariton_hamiltonian(params, drop_cross_terms)
+    whole = jacobi_eigh(h)
     sizes = _recorded_solves(monkeypatch)
-    w = DenseOraclePropagator(h).eigenvalues
-    assert sizes == [n + n % 2, n - n % 2]
-    assert np.abs(w - np.linalg.eigh(h)[0]).max() <= 1e-12 * np.linalg.norm(h)
+    dense = DenseOraclePropagator(h)
+    assert sizes == [2 * n]
+    assert np.array_equal(dense.eigenvalues, whole[0])
+    assert np.array_equal(dense.eigenvectors, whole[1])
+    assert np.abs(dense.eigenvalues - np.linalg.eigh(h)[0]).max() <= 1e-12 * np.linalg.norm(h)
 
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_a_broken_mirror_is_solved_as_one_sector(monkeypatch, n):
     h = build_hamiltonian(ModelParams(n, coupling=0.7, atom_freq=0.2))
     h[0, 1] = h[1, 0] = -1.1  # one hopping changed
-    whole = jacobi_eigh(h)
     sizes = _recorded_solves(monkeypatch)
     dense = DenseOraclePropagator(h)
-    assert sizes == [2 * n]
-    # the whole matrix with the identity basis: the bits of one direct solve
-    assert np.array_equal(dense.eigenvalues, whole[0])
-    assert np.array_equal(dense.eigenvectors, whole[1])
+    assert sizes == [n, 2 * n]  # the photon chain whole, then the pairs
+    u = dense.eigenvectors
+    assert np.abs(u.T @ u - np.eye(2 * n)).max() <= 1e-13
     assert np.abs(dense.eigenvalues - np.linalg.eigh(h)[0]).max() <= 1e-12 * np.linalg.norm(h)
 
 
 def test_a_matrix_of_odd_size_is_solved_as_one_sector(monkeypatch):
     h = np.diag([1.0, -2.0, 0.5, 3.0, 1.0]) + np.diag([0.3] * 4, 1) + np.diag([0.3] * 4, -1)
+    whole = jacobi_eigh(h)
     sizes = _recorded_solves(monkeypatch)
-    assert np.array_equal(DenseOraclePropagator(h).eigenvalues, jacobi_eigh(h)[0])
+    dense = DenseOraclePropagator(h)
+    assert np.array_equal(dense.eigenvalues, whole[0])
+    assert np.array_equal(dense.eigenvectors, whole[1])
     assert sizes == [5]
 
 
+@pytest.mark.parametrize("g", [0.0, 0.8, 3e4])
+@pytest.mark.parametrize("n", [5, 12])
+def test_any_photon_block_beside_g_and_w_a_blocks_matches_eigh(monkeypatch, n, g):
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal((n, n))
+    h = np.zeros((2 * n, 2 * n))
+    h[:n, :n] = c + c.T
+    h[:n, n:] = h[n:, :n] = g * np.eye(n)
+    h[n:, n:] = -0.6 * np.eye(n)
+    sizes = _recorded_solves(monkeypatch)
+    dense = DenseOraclePropagator(h)
+    assert sizes == [n, 2 * n]
+    w, u = dense.eigenvalues, dense.eigenvectors
+    scale = np.linalg.norm(h)
+    assert np.abs(w - np.linalg.eigh(h)[0]).max() <= 1e-12 * scale
+    assert np.abs(u.T @ u - np.eye(2 * n)).max() <= 1e-12
+    assert np.abs(h @ u - u * w).max() <= 1e-12 * scale
+
+
+def _pi_a_at_50_digits(mpmath, h, x0, t):
+    """pi_a(t) of |e_x0> under the double matrix h, from a 50-digit eigendecomposition."""
+    n = len(h) // 2
+    with mpmath.workdps(50):
+        energies, vectors = mpmath.eigsy(mpmath.matrix(h.tolist()))
+        weights = [mpmath.expj(-e * mpmath.mpf(t)) * vectors[n + x0 - 1, m]
+                   for m, e in enumerate(energies)]
+        return float(sum(abs(mpmath.fdot([vectors[k, m] for m in range(2 * n)], weights)) ** 2
+                         for k in range(n, 2 * n)))
+
+
+def _pi_a(prop, params, x0, t):
+    atoms = prop.evolve(initial_atomic_excitation(params, x0), t, atoms_only=True)
+    return np.sum(np.abs(atoms) ** 2)
+
+
 def test_analytic_matches_a_50_digit_solve_where_g_dwarfs_j():
-    # max|E| * t = 9.9e5, inside MAX_ENERGY_TIME.  The dense oracle is 1.24e-10 off here,
-    # which is why it is not asserted: it fixes each eigenvector inside a +-g cluster of
-    # eigenvalues split on the scale of J only to about eps * g / J
+    # max|E| * t = 9.9e5, inside MAX_ENERGY_TIME.  Each +-g cluster holds eigenvalues split on
+    # the scale of J; a Jacobi solve of H whole fixed their vectors only to about eps * g / J
+    # (dense 1.24e-10 off here), so the dense oracle solves the photon chain apart from g
     mpmath = pytest.importorskip("mpmath")
     params = ModelParams(7, hopping=1.0, coupling=79287485263.0544)
     t = 1.0914626702688699e-05
-    atoms = AnalyticPropagator(params).evolve(initial_atomic_excitation(params, 4), t)[7:]
-    with mpmath.workdps(50):
-        energies, vectors = mpmath.eigsy(mpmath.matrix(build_hamiltonian(params).tolist()))
-        weights = [mpmath.expj(-e * mpmath.mpf(t)) * vectors[7 + 3, m]  # atom at x0 = 4
-                   for m, e in enumerate(energies)]
-        exact = sum(abs(mpmath.fdot([vectors[k, m] for m in range(14)], weights)) ** 2
-                    for k in range(7, 14))
-    assert float(exact) == pytest.approx(0.51868844425408877, abs=1e-16)
-    assert abs(np.sum(np.abs(atoms) ** 2) - float(exact)) <= 1e-13
+    exact = _pi_a_at_50_digits(mpmath, build_hamiltonian(params), 4, t)
+    assert exact == pytest.approx(0.51868844425408877, abs=1e-16)
+    assert abs(_pi_a(AnalyticPropagator(params), params, 4, t) - exact) <= 1e-13
+    assert abs(_pi_a(make_propagator("dense", params), params, 4, t) - exact) <= 1e-13
+
+
+def test_dense_and_analytic_agree_with_a_50_digit_solve_at_the_worst_scanned_point():
+    # the largest dense-analytic gap of a scan over n = 4..96 and g/J = 1e-2..1e12: 8.4e-9
+    # when the dense oracle solved H whole, at max|E| * t = 9.9e5
+    mpmath = pytest.importorskip("mpmath")
+    params = ModelParams(12, coupling=131138314.66727269)
+    t = 0.007549280981788503
+    exact = _pi_a_at_50_digits(mpmath, build_hamiltonian(params), 6, t)
+    analytic = _pi_a(AnalyticPropagator(params), params, 6, t)
+    dense = _pi_a(make_propagator("dense", params), params, 6, t)
+    assert abs(dense - analytic) <= 1e-10
+    assert abs(analytic - exact) <= 1e-10
+    assert abs(dense - exact) <= 1e-10
