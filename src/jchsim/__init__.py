@@ -6,11 +6,9 @@ from .dynamics import (
     StrongCouplingPropagator,
     TimeGrid,
     WeakCouplingPropagator,
-    build_polariton_hamiltonian,
     evolve_series,
     make_propagator,
-    strong_coupling_amplitudes,
-    weak_coupling_amplitudes,
+    validity,
 )
 from .entanglement import (
     concurrence_map,
@@ -20,7 +18,7 @@ from .entanglement import (
 )
 from .experiments import ExperimentSpec, run_fig2, run_fig3, run_fig4, run_sweep
 from .model import ModelParams, build_hamiltonian, initial_atomic_excitation
-from .spectral import ModeTable, eigenstate_vector, mode_table
+from .spectral import ModeTable, mode_table
 
 __all__ = [
     "AnalyticPropagator",
@@ -32,10 +30,8 @@ __all__ = [
     "TimeGrid",
     "WeakCouplingPropagator",
     "build_hamiltonian",
-    "build_polariton_hamiltonian",
     "concurrence_map",
     "concurrence_wootters_oracle",
-    "eigenstate_vector",
     "evolve_series",
     "initial_atomic_excitation",
     "make_propagator",
@@ -46,8 +42,7 @@ __all__ = [
     "run_fig4",
     "run_sweep",
     "running_max_map",
-    "strong_coupling_amplitudes",
-    "weak_coupling_amplitudes",
+    "validity",
 ]
 
 __version__ = "0.1.0"

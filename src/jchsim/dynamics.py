@@ -1,15 +1,16 @@
 """Time evolution in the single-excitation sector.
 
 Four propagators are provided; the first three are AnalyticPropagator (sine
-modes, a 2x2 unitary per mode, back to sites) and two subclasses with other tables:
+modes, a 2x2 unitary per mode, back to sites), each with its own mode table:
 
 * AnalyticPropagator -- exact, via the 2x2 dressed blocks of the normal-mode
   decomposition; valid in every coupling regime.
-* WeakCouplingPropagator -- resonant-mode approximation (the mode closest to
-  resonance with the atoms dressed, the rest frozen); meaningful when g is
-  small against all other detunings.
-* StrongCouplingPropagator -- decoupled polariton chains; meaningful when g
-  dominates the free-field bandwidth and the atomic frequency.
+* WeakCouplingPropagator -- the table ``weak_table``: the mode closest to
+  resonance with the atoms (``resonant_mode``) dressed, the rest frozen;
+  meaningful when g is small against all other detunings.
+* StrongCouplingPropagator -- the table ``strong_table``: decoupled polariton
+  chains; meaningful when g dominates the free-field bandwidth and the atomic
+  frequency.
 * DenseOraclePropagator -- exact, via Jacobi eigendecompositions taken from
   the entries of the Hamiltonian matrix: when its photon-atom and atom blocks
   are exactly g I and w_a I, one of the photon block (per mirror sector when it
@@ -20,6 +21,7 @@ modes, a 2x2 unitary per mode, back to sites) and two subclasses with other tabl
   accepts arbitrary symmetric photon-hopping matrices.
 
 The mode propagators take only the ModelParams and build their own mode table.
+``validity(method, params)`` says how far an effective one strays from exact.
 All propagators are immutable after construction and expose
 ``evolve(state, t, atoms_only=False)``: shape (2N,) for a scalar t, (len(t), 2N)
 for an array of times; with ``atoms_only`` only the N atomic amplitudes, shape
@@ -67,7 +69,7 @@ class AnalyticPropagator:
 
     Mode amplitudes (a, b) go into branches p_s = a[s] a + b[s] b turning at
     eps[s], s = 0 for '+' and 1 for '-'; ``table`` gives the (a, b, eps) rows,
-    which the effective subclasses replace.
+    which the effective subclasses set to ``weak_table`` or ``strong_table``.
     """
 
     def __init__(self, params: ModelParams):
@@ -172,111 +174,42 @@ class DenseOraclePropagator:
         return states[..., len(u) // 2:] if atoms_only else states
 
 
-def _resonant_mode(modes: ModeTable) -> int:
+def resonant_mode(modes: ModeTable) -> int:
     """1-based index of the lowest mode whose |delta_k| is within 1e-12 of the smallest."""
     detuning = np.abs(modes.detunings)
     return int(np.argmax(detuning <= detuning.min() + 1e-12)) + 1
 
 
+def weak_table(modes: ModeTable) -> ModeTable:
+    """The resonant-mode approximation: ``resonant_mode`` dressed, every other mode frozen."""
+    p = modes.params
+    res = np.arange(p.n_cavities) == resonant_mode(modes) - 1
+    w_a, g, h = p.atom_freq, p.coupling, np.sqrt(0.5)
+    # off-resonant modes keep their bare phases ('+' the photon, '-' the atom);
+    # the resonant block rotates at the atomic frequency and Rabi-flops
+    bare = np.stack([modes.frequencies, np.full_like(modes.frequencies, w_a)])
+    return replace(modes, a=np.where(res, h, [[1.0], [0.0]]),
+                   b=np.where(res, h * BRANCH_SIGNS, [[0.0], [1.0]]),
+                   eps=np.where(res, w_a + BRANCH_SIGNS * g, bare))
+
+
+def strong_table(modes: ModeTable) -> ModeTable:
+    """The decoupled polariton chains, each with hopping J/2 (mode energy w_k/2) at +-g."""
+    half = np.full((2, modes.params.n_cavities), np.sqrt(0.5))
+    return replace(modes, a=half, b=half * BRANCH_SIGNS,
+                   eps=modes.frequencies / 2.0 + BRANCH_SIGNS * modes.params.coupling)
+
+
 class WeakCouplingPropagator(AnalyticPropagator):
-    """Effective evolution with a single dressed mode, all others frozen.
+    """AnalyticPropagator through ``weak_table``: one dressed mode, all others frozen."""
 
-    The dressed mode is ``resonant_mode``, the one closest to resonance with
-    the atoms.  ``validity`` is g over the smallest off-resonant detuning; the
-    approximation is good when it is small, and nothing is refused when it is
-    large.
-    """
-
-    @property
-    def resonant_mode(self) -> int:
-        return _resonant_mode(self.modes)
-
-    @property
-    def validity(self) -> float:
-        others = np.abs(np.delete(self.modes.detunings, self.resonant_mode - 1))
-        return float(self.params.coupling / others.min()) if others.min() > 0 else np.inf
-
-    def table(self, modes: ModeTable) -> ModeTable:
-        res = np.arange(self.params.n_cavities) == _resonant_mode(modes) - 1
-        w_a, g, h = self.params.atom_freq, self.params.coupling, np.sqrt(0.5)
-        # off-resonant modes keep their bare phases ('+' the photon, '-' the atom);
-        # the resonant block rotates at the atomic frequency and Rabi-flops
-        bare = np.stack([modes.frequencies, np.full_like(modes.frequencies, w_a)])
-        return replace(modes, a=np.where(res, h, [[1.0], [0.0]]),
-                       b=np.where(res, h * BRANCH_SIGNS, [[0.0], [1.0]]),
-                       eps=np.where(res, w_a + BRANCH_SIGNS * g, bare))
+    table = staticmethod(weak_table)
 
 
 class StrongCouplingPropagator(AnalyticPropagator):
-    """Effective evolution with the two polariton chains decoupled.
+    """AnalyticPropagator through ``strong_table``: the two polariton chains decoupled."""
 
-    ``validity`` is (bandwidth + atomic frequency) relative to g; small means
-    the dropped inter-branch terms rotate fast and the approximation is good.
-    """
-
-    @property
-    def validity(self) -> float:
-        p = self.params
-        if p.coupling == 0:
-            return np.inf
-        return float(2.0 * (2.0 * p.hopping + abs(p.atom_freq)) / p.coupling)
-
-    def table(self, modes: ModeTable) -> ModeTable:
-        # polariton branches, each a chain with hopping J/2 (mode energy w_k/2)
-        half = np.full((2, self.params.n_cavities), np.sqrt(0.5))
-        return replace(modes, a=half, b=half * BRANCH_SIGNS,
-                       eps=modes.frequencies / 2.0 + BRANCH_SIGNS * self.params.coupling)
-
-
-def weak_coupling_amplitudes(x0, t, modes, resonant_mode):
-    """Atomic amplitudes of the resonant-mode approximation for |e_x0>.
-
-    c_{a,x}(t) = e^{-i w_a t} [sum_{k != k'} v_{k,x} v_{k,x0}
-                               + cos(gt) v_{k',x} v_{k',x0}].
-    """
-    params = modes.params
-    v = modes.vectors
-    kr = resonant_mode - 1
-    vx0 = v[:, x0 - 1]
-    weights = vx0.copy()
-    weights[kr] *= np.cos(params.coupling * t)
-    return np.exp(-1j * params.atom_freq * t) * (v.T @ weights).astype(complex)
-
-
-def strong_coupling_amplitudes(x0, t, modes):
-    """Atomic amplitudes of the decoupled-polariton approximation for |e_x0>.
-
-    c_{a,x}(t) = cos(gt) sum_k e^{-i w_k t / 2} v_{k,x} v_{k,x0}.
-    """
-    params = modes.params
-    v = modes.vectors
-    vx0 = v[:, x0 - 1]
-    return np.cos(params.coupling * t) * (v.T @ (np.exp(-1j * modes.frequencies * t / 2.0) * vx0))
-
-
-def build_polariton_hamiltonian(params: ModelParams, drop_cross_terms: bool) -> np.ndarray:
-    """Hamiltonian in the local polariton basis {|+_x>, |-_x>}.
-
-    |+-_x> = (|photon_x> +- |atom_x>)/sqrt(2).  Each branch carries an on-site
-    energy (w_c + w_a)/2 +- g and hopping -J/2.  The inter-branch pieces (the
-    -J/2 cross hoppings plus an on-site (w_c - w_a)/2 term when the atoms are
-    detuned) make the change of basis exact; ``drop_cross_terms`` removes them,
-    leaving two decoupled chains.
-    """
-    n = params.n_cavities
-    mean = 0.5 * (params.cavity_freq + params.atom_freq)
-    half_j = 0.5 * params.hopping
-    chain = np.zeros((n, n))
-    chain[np.arange(n - 1), np.arange(1, n)] = -half_j
-    chain[np.arange(1, n), np.arange(n - 1)] = -half_j
-    h = np.zeros((2 * n, 2 * n))
-    h[:n, :n] = chain + (mean + params.coupling) * np.eye(n)
-    h[n:, n:] = chain + (mean - params.coupling) * np.eye(n)
-    if not drop_cross_terms:
-        cross = chain + 0.5 * (params.cavity_freq - params.atom_freq) * np.eye(n)
-        h[:n, n:] = cross
-        h[n:, :n] = cross
-    return h
+    table = staticmethod(strong_table)
 
 
 # every propagation method by name, with the constructor that builds it from ModelParams
@@ -288,11 +221,32 @@ METHODS = {
 }
 
 
-def make_propagator(method: str, params: ModelParams):
-    """Propagator factory keyed by method name."""
+def _known(method: str) -> str:
     if method not in METHODS:
         raise ValueError(f"unknown propagation method {method!r}")
-    return METHODS[method](params)
+    return method
+
+
+def make_propagator(method: str, params: ModelParams):
+    """Propagator factory keyed by method name."""
+    return METHODS[_known(method)](params)
+
+
+def validity(method: str, params: ModelParams) -> float:
+    """How far ``method`` strays from the exact model at ``params``; small is good, 0 exact.
+
+    weak: g over the smallest off-resonant |delta_k|; strong: the bandwidth plus the
+    atomic frequency relative to g, 2 (2J + |w_a|) / g.  Each is inf where its
+    denominator is 0; nothing is refused when it is large.
+    """
+    if _known(method) == "weak":
+        modes = mode_table(params)
+        others = np.abs(np.delete(modes.detunings, resonant_mode(modes) - 1))
+        return float(params.coupling / others.min()) if others.min() > 0 else np.inf
+    if method == "strong":
+        scale = 2.0 * (2.0 * params.hopping + abs(params.atom_freq))
+        return float(scale / params.coupling) if params.coupling else np.inf
+    return 0.0
 
 
 def evolve_series(state0: np.ndarray, grid: TimeGrid, prop) -> np.ndarray:

@@ -188,13 +188,6 @@ def write_csv(path, header, columns):
         fh.write("\n".join(rows) + "\n")
 
 
-def read_csv(path):
-    """Inverse of write_csv for numeric files: returns (header, data array)."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        return header, np.array([[float(c) for c in line.split(",")] for line in fh])
-
-
 def write_series_csv(series, path):
     """Observable series as CSV: t_J, entropy, pi_a, then one column per pair."""
     write_csv(path, ["t_J", "entropy", "pi_a"] + [f"C_{i}_{j}" for i, j in series.pairs],

@@ -18,8 +18,9 @@ ATOM = "atom"
 # least 1 / MAX_ENERGY, so the norm of H cannot underflow either.
 MAX_ENERGY = 1e150
 # largest ``max_energy`` * t an evolution accepts.  The phases E t are reduced in a long
-# double, and the analytic and dense sum over x of |c_x|^2 then differ by about
-# 4e-17 |E| t, which passes 1e-10 near |E| t = 2.5e6 (measured at N = 11, 16, 24).
+# double, yet the analytic and dense sum over x of |c_x|^2 can differ by 9.2e-11 at
+# |E| t = 9.9e5 (N = 4, g = 5.7e5 J; each method about 5e-11 from a 50-digit solve),
+# not the 4e-11 that the 4e-17 |E| t measured at N = 11, 16 and 24 predicts there.
 MAX_ENERGY_TIME = 1e6
 
 

@@ -82,11 +82,3 @@ def mode_table(params: ModelParams) -> ModeTable:
         b=np.divide(num, r, out=np.where(bare_atom, 1.0, 0.0), where=r > 0),
         eps=mean + 0.5 * BRANCH_SIGNS * rabi,
     )
-
-
-def eigenstate_vector(modes: ModeTable, m: int, branch: str) -> np.ndarray:
-    """Full 2N eigenvector of mode m (1-based) on branch '+' or '-'."""
-    if branch not in ("+", "-"):
-        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-    row, v = "+-".index(branch), modes.vectors[m - 1]
-    return np.concatenate([modes.a[row, m - 1] * v, modes.b[row, m - 1] * v]).astype(complex)

@@ -9,12 +9,8 @@ import time
 
 import numpy as np
 
-from jchsim.dynamics import (
-    AnalyticPropagator,
-    DenseOraclePropagator,
-    build_polariton_hamiltonian,
-    strong_coupling_amplitudes,
-)
+from effective_reference import build_polariton_hamiltonian, strong_coupling_amplitudes
+from jchsim.dynamics import AnalyticPropagator, DenseOraclePropagator
 from jchsim.entanglement import (
     binary_entropy,
     concurrence_map,

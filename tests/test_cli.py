@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import svg_reference
+from csv_reader import read_csv
 from jchsim import dynamics, experiments, io
 from jchsim.cli import cli_main
 from jchsim.dynamics import TimeGrid
@@ -100,7 +101,7 @@ def test_evolve_artifacts_and_flag_override(tmp_path):
     out = tmp_path / "r"
     assert cli_main(["evolve", "--config", str(cfg), "--out", str(out),
                      "--samples", "21", "--method", "dense"]) == 0
-    headers, data = io.read_csv(out / "evolve_series.csv")
+    headers, data = read_csv(out / "evolve_series.csv")
     assert headers == ["t_J", "entropy", "pi_a", "C_2_5"]
     assert data.shape == (21, 4)
     assert (out / "evolve_plot.svg").exists()
@@ -118,7 +119,7 @@ def test_evolve_byte_identical_reruns(tmp_path):
 
 def test_fig2_artifacts(tmp_path):
     assert cli_main(["fig2", "--out", str(tmp_path)]) == 0
-    headers, data = io.read_csv(tmp_path / "fig2_series.csv")
+    headers, data = read_csv(tmp_path / "fig2_series.csv")
     assert headers == ["t_J", "entropy", "pi_a", "C_21_33", "C_31_33"]
     assert data.shape[0] >= 2048
     assert (tmp_path / "fig2_plot.svg").exists()
@@ -131,7 +132,7 @@ def test_fig3_artifacts(tmp_path):
     csvs = sorted(tmp_path.glob("fig3_t*_map.csv"))
     svgs = sorted(tmp_path.glob("fig3_t*_map.svg"))
     assert len(csvs) == 1 and len(svgs) == 1
-    values = io.read_csv(csvs[0])[1][:, 1:]
+    values = read_csv(csvs[0])[1][:, 1:]
     assert values.shape == (101, 101)
     assert np.array_equal(values, values.T)
 
@@ -139,7 +140,7 @@ def test_fig3_artifacts(tmp_path):
 def _assert_svg_matches_etree_reference(stem, title, tmp_path, scale_max=0.25):
     """The CLI's heatmap SVG equals the ElementTree reference's rendering of
     the map CSV written beside it (17 digits round-trip the values exactly)."""
-    values = io.read_csv(f"{stem}.csv")[1][:, 1:]
+    values = read_csv(f"{stem}.csv")[1][:, 1:]
     rewritten = tmp_path / "rewritten.csv"
     io.write_map_csv(values, rewritten)
     assert rewritten.read_bytes() == Path(f"{stem}.csv").read_bytes()
@@ -161,7 +162,7 @@ def test_fig3_default_maps_match_etree_reference(tmp_path):
 def test_fig4_artifacts(tmp_path):
     out = tmp_path / "out"
     assert cli_main(["fig4", "--g-over-j", "10", "--out", str(out)]) == 0
-    values = io.read_csv(out / "fig4_g10_maxmap.csv")[1][:, 1:]
+    values = read_csv(out / "fig4_g10_maxmap.csv")[1][:, 1:]
     assert values.shape == (201, 201)
     assert (out / "fig4_g10_maxmap.svg").exists()
     _assert_svg_matches_etree_reference(out / "fig4_g10_maxmap",
@@ -220,7 +221,7 @@ def test_flag_wins_over_invalid_file_value(tmp_path):
     out = tmp_path / "r"
     assert cli_main(["evolve", "--config", str(cfg), "--out", str(out),
                      "--samples", "21"]) == 0
-    _, data = io.read_csv(out / "evolve_series.csv")
+    _, data = read_csv(out / "evolve_series.csv")
     assert data.shape[0] == 21
 
 
@@ -397,7 +398,7 @@ def test_hopping_below_the_energy_bound_is_config_error(tmp_path, capsys):
         cfg.write_text("n = 6\nj = 1e-150\ng = 1e-150\nt_max = 1e155\nsamples = 5\npairs = 2:5\n")
         assert cli_main(["evolve", "--config", str(cfg), "--method", method,
                          "--out", str(out)]) == 0
-        series[method] = io.read_csv(out / "evolve_series.csv")[1]
+        series[method] = read_csv(out / "evolve_series.csv")[1]
     assert np.array_equal(series["analytic"][:, 0], series["dense"][:, 0])
     assert np.abs(series["analytic"] - series["dense"])[:, 1:].max() <= 1e-10
     assert series["dense"][1:, 2].min() < 0.9  # the excitation leaves the atom
@@ -411,7 +412,7 @@ def test_dense_and_analytic_series_agree_where_g_dwarfs_j(tmp_path):
     for method in ("analytic", "dense"):
         assert cli_main(["evolve", "--config", str(cfg), "--method", method,
                          "--out", str(tmp_path / method)]) == 0
-        series[method] = io.read_csv(tmp_path / method / "evolve_series.csv")[1]
+        series[method] = read_csv(tmp_path / method / "evolve_series.csv")[1]
     assert np.array_equal(series["analytic"][:, 0], series["dense"][:, 0])
     assert np.abs(series["analytic"] - series["dense"])[:, 1:].max() <= 1e-10
 
@@ -432,7 +433,7 @@ def test_keys_a_command_does_not_evolve_do_not_trip_the_bound(tmp_path, command,
     assert sorted(path.name for path in out.iterdir()) == files
     for name in files:
         if name.endswith(".csv") and name != "sweep_summary.csv":  # the summary has a status
-            assert np.isfinite(io.read_csv(out / name)[1]).all(), name
+            assert np.isfinite(read_csv(out / name)[1]).all(), name
 
 
 def test_fig3_beyond_the_bound_evolves_nothing(tmp_path, capsys, monkeypatch):

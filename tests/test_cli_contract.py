@@ -2,10 +2,12 @@
 
 Whatever the config holds, a command exits 0, 2 (config error) or 3
 (runtime error); an error leaves no file behind, and a success writes only
-finite numbers.  Energies and times are drawn at any magnitude from 1e-300
-up to the largest double, zero and negative included, and the search is
-steered toward successful runs at ever larger energies, so the bounds of
-``model`` and ``io.validate`` are what keeps NaN and inf out of the files.
+finite numbers.  An exact `evolve` that succeeds succeeds with the other exact
+method too, at the same times and with pi_a and every concurrence within
+1e-10.  Energies and times are drawn at any magnitude from 1e-300 up to the
+largest double, zero and negative included, and the search is steered toward
+successful runs at ever larger energies, so the bounds of ``model`` and
+``io.validate`` are what keeps NaN and inf out of the files.
 """
 
 import math
@@ -15,11 +17,12 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, seed, settings, target
 from hypothesis import strategies as st
 
-from jchsim import io
+from csv_reader import read_csv
 from jchsim.cli import cli_main
 from jchsim.dynamics import METHODS
 
 _ENERGIES = ("j", "g", "omega_c", "omega_a")
+_EXACT = ("analytic", "dense")
 
 # any magnitude from 1e-300 to the largest double, its edges drawn often
 _MAGNITUDES = st.one_of(
@@ -62,6 +65,21 @@ def _configs(draw):
     return keys
 
 
+def _assert_the_other_exact_method_agrees(cfg, twin, out, method):
+    """The other exact method on the same config: exit 0, the same times, pi_a and C to 1e-10.
+
+    The entropy is left out of the bound: its slope is unbounded at pi_a -> 0 and 1.
+    """
+    other = _EXACT[1 - _EXACT.index(method)]
+    assert cli_main(["evolve", "--config", str(cfg), "--out", str(twin), "--method", other]) == 0
+    headers, first = read_csv(out / "evolve_series.csv")
+    twin_headers, second = read_csv(twin / "evolve_series.csv")
+    assert twin_headers == headers and headers[:2] == ["t_J", "entropy"]
+    assert np.array_equal(second[:, 0], first[:, 0])
+    assert np.isfinite(second).all()
+    assert np.abs(second[:, 2:] - first[:, 2:]).max() <= 1e-10
+
+
 @seed(20201018)
 @settings(max_examples=300, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -84,8 +102,10 @@ def test_exit_code_files_and_finite_output(tmp_path_factory, command, keys):
     assert written
     for path in written:
         if path.suffix == ".csv":
-            assert np.isfinite(io.read_csv(path)[1]).all(), path.name
+            assert np.isfinite(read_csv(path)[1]).all(), path.name
         else:  # an SVG: every coordinate and label is a finite number
             assert not re.search(r"nan|inf", path.read_text(), re.IGNORECASE), path.name
+    if command == "evolve" and keys["method"] in _EXACT:
+        _assert_the_other_exact_method_agrees(cfg, root / "twin", out, keys["method"])
     # steer the search toward the largest energies that still run
     target(max(math.log10(abs(keys.get(key, 0.0)) or 1e-300) for key in _ENERGIES))

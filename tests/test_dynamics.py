@@ -1,9 +1,15 @@
+import dataclasses
 import inspect
 import warnings
 
 import numpy as np
 import pytest
 
+from effective_reference import (
+    build_polariton_hamiltonian,
+    strong_coupling_amplitudes,
+    weak_coupling_amplitudes,
+)
 from jchsim import dynamics
 from jchsim.dynamics import (
     AnalyticPropagator,
@@ -11,14 +17,15 @@ from jchsim.dynamics import (
     StrongCouplingPropagator,
     TimeGrid,
     WeakCouplingPropagator,
-    build_polariton_hamiltonian,
     evolve_series,
     make_propagator,
-    strong_coupling_amplitudes,
-    weak_coupling_amplitudes,
+    resonant_mode,
+    strong_table,
+    validity,
+    weak_table,
 )
 from jchsim.linalg import jacobi_eigh
-from jchsim.model import ModelParams, build_hamiltonian, initial_atomic_excitation
+from jchsim.model import ModelParams, build_hamiltonian, initial_atomic_excitation, max_energy
 from jchsim.spectral import mode_table
 
 
@@ -149,7 +156,7 @@ def test_weak_propagator_matches_exact_envelope():
     params = ModelParams(41, coupling=1e-3)
     modes = mode_table(params)
     weak = WeakCouplingPropagator(params)
-    assert weak.resonant_mode == 21 and weak.validity < 0.02
+    assert resonant_mode(weak.modes) == 21 and validity("weak", params) < 0.02
     exact = AnalyticPropagator(params)
     state0 = initial_atomic_excitation(params, 21)
     for t in np.linspace(0.0, 2 * np.pi / params.coupling, 9):
@@ -176,7 +183,7 @@ def test_strong_propagator_tracks_exact():
     params = ModelParams(21, coupling=1e3)
     modes = mode_table(params)
     strong = StrongCouplingPropagator(params)
-    assert strong.validity < 0.01
+    assert validity("strong", params) < 0.01
     exact = AnalyticPropagator(params)
     state0 = initial_atomic_excitation(params, 11)
     for t in np.arange(1, 6) * (np.pi / params.coupling) * 100:
@@ -264,7 +271,7 @@ def test_make_propagator_dispatch():
     assert type(make_propagator("analytic", params)) is AnalyticPropagator
     assert type(make_propagator("dense", params)) is DenseOraclePropagator
     weak = make_propagator("weak", params)
-    assert type(weak) is WeakCouplingPropagator and weak.resonant_mode == 5
+    assert type(weak) is WeakCouplingPropagator and resonant_mode(weak.modes) == 5
     assert type(make_propagator("strong", params)) is StrongCouplingPropagator
     with pytest.raises(ValueError):
         make_propagator("magic", params)
@@ -277,7 +284,7 @@ def test_weak_propagator_picks_the_mode_closest_to_resonance(atom_freq):
         # the lowest mode index whose |delta_k| is within 1e-12 of the smallest
         detuning = np.abs(atom_freq + 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
         expected = 1 + min(k for k in range(n) if detuning[k] <= detuning.min() + 1e-12)
-        assert WeakCouplingPropagator(params).resonant_mode == expected, n
+        assert resonant_mode(WeakCouplingPropagator(params).modes) == expected, n
 
 
 def test_mode_propagators_are_built_from_the_model_alone():
@@ -292,7 +299,7 @@ def test_weak_propagator_dresses_the_resonant_mode():
     # omega_a = 1 J is resonant with mode 28 of N = 41, not the band center
     params = ModelParams(41, coupling=1e-3, atom_freq=1.0)
     weak = make_propagator("weak", params)
-    assert weak.resonant_mode == 28 and weak.validity < 0.01
+    assert resonant_mode(weak.modes) == 28 and validity("weak", params) < 0.01
     exact = make_propagator("analytic", params)
     times = np.linspace(0.0, 4.0 * np.pi / params.coupling, 257)
     for x0 in (20, 21):
@@ -300,6 +307,50 @@ def test_weak_propagator_dresses_the_resonant_mode():
         pi_weak = np.sum(np.abs(weak.evolve(state0, times)[:, 41:]) ** 2, axis=1)
         pi_exact = np.sum(np.abs(exact.evolve(state0, times)[:, 41:]) ** 2, axis=1)
         assert np.abs(pi_weak - pi_exact).max() <= 1e-4
+
+
+def _table_bytes(modes):
+    return {f.name: np.asarray(getattr(modes, f.name)).tobytes()
+            for f in dataclasses.fields(modes) if f.name != "params"}
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(41, coupling=1e-3),
+    ModelParams(41, coupling=1e-3, atom_freq=1.0),
+    ModelParams(47, coupling=1.5, atom_freq=0.3),
+    ModelParams(21, coupling=1e3, cavity_freq=-0.2),
+    ModelParams(8, coupling=0.0, atom_freq=0.4),
+])
+def test_effective_tables_are_the_propagators_modes(params):
+    for table, cls in ((weak_table, WeakCouplingPropagator),
+                       (strong_table, StrongCouplingPropagator)):
+        modes = dynamics.mode_table(params)
+        before = _table_bytes(modes)
+        result = table(modes)
+        assert _table_bytes(modes) == before
+        assert _table_bytes(result) == _table_bytes(cls(params).modes)
+        assert result.params is params
+
+
+def test_validity_keeps_the_floats_of_the_per_class_metrics():
+    # the values the weak and strong propagators' own validity properties returned
+    assert validity("weak", ModelParams(41, coupling=1e-3)).hex() == "0x1.b67c12f5cb5abp-8"
+    assert (validity("weak", ModelParams(41, coupling=1e-3, atom_freq=1.0)).hex()
+            == "0x1.02bfbcb351c0ep-7")
+    assert validity("strong", ModelParams(21, coupling=1e3)).hex() == "0x1.0624dd2f1a9fcp-8"
+
+
+def test_validity_edges_and_exact_methods():
+    params = ModelParams(9, coupling=0.0, atom_freq=0.3)
+    assert validity("strong", params) == np.inf
+    for method in ("analytic", "dense"):
+        assert validity(method, ModelParams(9, coupling=0.5)) == 0.0
+        assert type(validity(method, params)) is float
+    with pytest.raises(ValueError) as factory:
+        make_propagator("magic", params)
+    with pytest.raises(ValueError) as metric:
+        validity("magic", params)
+    assert str(metric.value) == str(factory.value)
 
 
 @pytest.mark.parametrize("method", ["analytic", "dense", "weak", "strong"])
@@ -500,3 +551,19 @@ def test_dense_and_analytic_agree_with_a_50_digit_solve_at_the_worst_scanned_poi
     assert abs(dense - analytic) <= 1e-10
     assert abs(analytic - exact) <= 1e-10
     assert abs(dense - exact) <= 1e-10
+
+
+def test_both_methods_stay_within_1e_10_of_a_50_digit_solve_at_the_time_bound():
+    # the thinnest margin of a scan over n = 4..96 and g/J = 1e-2..1e12 under
+    # MAX_ENERGY_TIME: max|E| * t = 9.9e5, where the two methods' phase rounding
+    # puts them 9.2e-11 apart (analytic 3.6e-11 and dense 5.6e-11 off)
+    mpmath = pytest.importorskip("mpmath")
+    params = ModelParams(4, hopping=1.0, coupling=570791.0)
+    t = 9.9e5 / max_energy(params)
+    assert t == 1.7344291187873713
+    exact = _pi_a_at_50_digits(mpmath, build_hamiltonian(params), 2, t)
+    analytic = _pi_a(AnalyticPropagator(params), params, 2, t)
+    dense = _pi_a(make_propagator("dense", params), params, 2, t)
+    assert abs(dense - analytic) < 1e-10
+    assert abs(analytic - exact) < 1e-10
+    assert abs(dense - exact) < 1e-10

@@ -116,7 +116,7 @@ def test_closed_form_examples():
 
 def test_weak_regime_peak_concurrences():
     from jchsim.spectral import mode_table
-    from jchsim.dynamics import weak_coupling_amplitudes
+    from effective_reference import weak_coupling_amplitudes
 
     params = ModelParams(41, coupling=1e-3)
     modes = mode_table(params)

@@ -6,7 +6,15 @@ import pytest
 from jchsim.dynamics import AnalyticPropagator, StrongCouplingPropagator
 from jchsim.linalg import jacobi_eigh
 from jchsim.model import ModelParams, build_hamiltonian
-from jchsim.spectral import eigenstate_vector, mode_table, sine_modes
+from jchsim.spectral import mode_table, sine_modes
+
+
+def eigenstate_vector(modes, m: int, branch: str) -> np.ndarray:
+    """Full 2N eigenvector of mode m (1-based) on branch '+' or '-'."""
+    if branch not in ("+", "-"):
+        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
+    row, v = "+-".index(branch), modes.vectors[m - 1]
+    return np.concatenate([modes.a[row, m - 1] * v, modes.b[row, m - 1] * v]).astype(complex)
 
 
 def test_band_center_mode():
