@@ -12,6 +12,7 @@ error.
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -147,6 +148,8 @@ def _cmd_fig3(cfg):
 def _cmd_fig4(cfg):
     if cfg.g <= 0:
         raise ConfigError(f"--g-over-j: the coupling must be > 0, got {cfg.g:g}")
+    if math.isinf(math.pi / cfg.g):  # the grid snaps to multiples of pi/g
+        raise ConfigError(f"--g-over-j: pi/g overflows to inf at g = {cfg.g:g}")
     _map_artifacts(run_fig4(cfg.g), _outdir(cfg) / f"fig4_g{cfg.g:g}_maxmap", cfg.scale_max,
                    f"max C_ij, g = {cfg.g:g} J, tJ in [0, 90]")
     return 0

@@ -23,7 +23,6 @@ class ConvergenceError(RuntimeError):
 
 _JACOBI_TOL = 1e-13
 _JACOBI_MAX_SWEEPS = 100
-_SIGNS = np.array([[-1.0], [1.0]])  # -s for p, s for q
 
 
 def checked_symmetric(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -53,11 +52,13 @@ def jacobi_eigh(a: np.ndarray):
     one index sits out each round.  The disjoint rotations of a round commute,
     so they are applied together to the columns of a, its rows and the rows
     of the eigenvectors, each as one in-place x <- c x + s x[partner] over the
-    whole matrix: partner swaps p and q, and an index that sits out and a
-    skipped pair turn by cos 1 and sin 0, so no round branches on its kept
-    pairs or allocates an array of the matrix's size.  Sweeps repeat until
-    the off-diagonal Frobenius norm drops below ``_JACOBI_TOL`` relative to
-    the matrix norm.  Returns (eigenvalues ascending, eigenvectors as columns).
+    whole matrix: partner swaps p and q, and c and s are two length-n vectors,
+    (c, -s) at p and (c, s) at q, broadcast along the other axis.  An index
+    that sits out and a skipped pair turn by cos 1 and sin 0, so no round
+    branches on its kept pairs or allocates an array of the matrix's size.
+    Sweeps repeat until the off-diagonal Frobenius norm drops below
+    ``_JACOBI_TOL`` relative to the matrix norm.  Returns (eigenvalues
+    ascending, eigenvectors as columns).
 
     Raises ValueError if the matrix is empty (0 x 0), if its norm is not
     finite (entries of about 1.3e154 and up overflow it, and the convergence
@@ -78,12 +79,10 @@ def jacobi_eigh(a: np.ndarray):
     flat, diag = a.reshape(-1), np.diagonal(a)
     # the eigenvectors are rotated as rows, whose partner gather copies whole rows
     vt = np.eye(n)
-    # the partner gather, the off-diagonal copy and the cos/sin planes of every round
-    taken, off, planes = np.empty_like(a), np.empty_like(a), np.empty((2, n, n))
-    cos, sin = planes
-    # (c, c, 1) over (-s, s, 0) for the n // 2 pairs of a round, spread by the schedule
-    coef = np.array([[1.0], [0.0]]).repeat(2 * (n // 2) + 1, axis=1)
-    cc, ss = (row[:-1].reshape(2, -1) for row in coef)
+    # the partner gather, the off-diagonal copy, and the cos and sin of each index in a round
+    taken, off, cos, sin = np.empty_like(a), np.empty_like(a), np.empty(n), np.empty(n)
+    # the same cos and sin as (n, 1) views, turning rows where (n,) turns columns
+    cos_rows, sin_rows = cos[:, None], sin[:, None]
 
     for _ in range(_JACOBI_MAX_SWEEPS):
         np.copyto(off, a)  # a with its diagonal zeroed, for the off-diagonal norm
@@ -94,7 +93,7 @@ def jacobi_eigh(a: np.ndarray):
             w = _rayleigh_refine(original, vecs)
             order = np.argsort(w, kind="stable")
             return w[order], vecs[:, order]
-        for p, q, zeroed, partner, spread in rounds:
+        for p, q, zeroed, partner in rounds:
             apq = flat[zeroed[0]]
             keep = np.abs(apq) > skip
             if not keep.any():
@@ -104,25 +103,26 @@ def jacobi_eigh(a: np.ndarray):
             t = np.sign(theta) / (np.abs(theta) + np.hypot(theta, 1.0))
             t[theta == 0.0] = 1.0
             c = np.where(keep, 1.0 / np.sqrt(t * t + 1.0), 1.0)
-            cc[:] = c
-            np.multiply(np.where(keep, t * c, 0.0), _SIGNS, ss)
+            s = np.where(keep, t * c, 0.0)
             # new (x_p, x_q) = (c x_p - s x_q, s x_p + c x_q); an index that sits out keeps x
-            cs = coef.take(spread, 1)
-            np.copyto(planes, cs[:, None, :])  # cos[i, j] = c of column j
+            cos.fill(1.0)
+            sin.fill(0.0)
+            cos[p] = cos[q] = c
+            sin[p], sin[q] = -s, s
             _rotate(a, partner, 1, cos, sin, taken)
-            np.copyto(planes, cs[:, :, None])  # cos[i, j] = c of row i, for both row passes
-            _rotate(a, partner, 0, cos, sin, taken)
+            _rotate(a, partner, 0, cos_rows, sin_rows, taken)
             flat[zeroed.compress(keep, 1)] = 0.0
-            _rotate(vt, partner, 0, cos, sin, taken)
+            _rotate(vt, partner, 0, cos_rows, sin_rows, taken)
     raise ConvergenceError(f"Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
 
 
 def _rotate(x, partner, axis, cos, sin, taken):
     """Set x to cos * x + sin * x.take(partner, axis) in place (axis 0: rows, 1: columns).
 
-    ``cos`` and ``sin`` have the shape of x; the gather lands in ``taken``.  Every
-    index is turned: one left alone has cos 1 and sin 0, and x * 1 + y * 0 is x
-    for every finite y (a -0.0 may come back as +0.0).
+    ``cos`` and ``sin`` hold one value per index and broadcast against x: shape
+    (n,) over its columns, (n, 1) over its rows.  The gather lands in ``taken``.
+    Every index is turned: one left alone has cos 1 and sin 0, and x * 1 + y * 0
+    is x for every finite y (a -0.0 may come back as +0.0).
     """
     x.take(partner, axis, taken, "clip")
     np.multiply(x, cos, x)
@@ -139,10 +139,8 @@ def _schedule(n: int) -> tuple:
     pads the circle to even m, and its partner sits the round out.
 
     Each round is its pairs p < q, the flat indices of a_pq (row 0) and a_qp
-    (row 1), the partner permutation (p <-> q, an index that sits out to
-    itself) and the slots that spread (c, c, 1) and (-s, s, 0) of its k pairs
-    onto the n indices: i for p_i, k + i for q_i, 2k to sit out.  The arrays
-    are read-only, as every solve of size n shares them.
+    (row 1), and the partner permutation (p <-> q, an index that sits out to
+    itself).  The arrays are read-only, as every solve of size n shares them.
     """
     m, k = n + n % 2, n // 2
     # round r seats index 0, then 1..m-1 rotated r places (np.roll of the ring)
@@ -152,10 +150,9 @@ def _schedule(n: int) -> tuple:
     real = (left < n) & (right < n)  # every round has k real pairs
     p = np.minimum(left, right)[real].reshape(m - 1, k)
     q = np.maximum(left, right)[real].reshape(m - 1, k)
-    partner, spread = np.tile(np.arange(n), (m - 1, 1)), np.full((m - 1, n), 2 * k)
+    partner = np.tile(np.arange(n), (m - 1, 1))
     partner[shift, p], partner[shift, q] = q, p
-    spread[shift, p], spread[shift, q] = np.arange(k), np.arange(k, 2 * k)
-    arrays = (p, q, np.stack((p * n + q, q * n + p), axis=1), partner, spread)
+    arrays = (p, q, np.stack((p * n + q, q * n + p), axis=1), partner)
     for x in arrays:
         x.setflags(write=False)
     return tuple(zip(*arrays))

@@ -9,8 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PHOTON = "photon"
-ATOM = "atom"
 # largest |energy| a model accepts, in units of J.  Derived quantities reach the
 # square of an energy (the Frobenius norm of H in the Jacobi oracle) or several
 # times it (hypot(delta_k + Omega_k, 2g) in the mode table), so the bound sits
@@ -62,17 +60,6 @@ def max_energy(p: ModelParams) -> float:
     return float(max(abs(p.cavity_freq) + 2.0 * p.hopping, abs(p.atom_freq)) + p.coupling)
 
 
-def flat_index(kind: str, site: int, n_cavities: int) -> int:
-    """Map (kind, 1-based site) to the flat index in [0, 2N)."""
-    if not 1 <= site <= n_cavities:
-        raise ValueError(f"site {site} out of range [1, {n_cavities}]")
-    if kind == PHOTON:
-        return site - 1
-    if kind == ATOM:
-        return n_cavities + site - 1
-    raise ValueError(f"unknown basis kind {kind!r}")
-
-
 def build_hamiltonian(params: ModelParams) -> np.ndarray:
     """Assemble the 2N x 2N single-excitation Hamiltonian (real symmetric).
 
@@ -93,7 +80,10 @@ def build_hamiltonian(params: ModelParams) -> np.ndarray:
 
 
 def initial_atomic_excitation(params: ModelParams, x0: int) -> np.ndarray:
-    """State with the atom at site x0 excited, everything else in vacuum."""
+    """State with the atom at site x0 excited (index N + x0 - 1), everything else in vacuum."""
+    n = params.n_cavities
+    if not 1 <= x0 <= n:
+        raise ValueError(f"site {x0} out of range [1, {n}]")
     state = np.zeros(params.dim, dtype=complex)
-    state[flat_index(ATOM, x0, params.n_cavities)] = 1.0
+    state[n + x0 - 1] = 1.0
     return state

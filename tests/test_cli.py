@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,28 @@ def test_fig4_rejects_non_positive_coupling(tmp_path, capsys, g):
     assert cli_main(["fig4", "--g-over-j", g, "--out", str(out)]) == 2
     assert "config error: --g-over-j" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("g", ["1e-308", "5e-324"])
+def test_fig4_refuses_a_coupling_whose_period_overflows(tmp_path, capsys, g):
+    # pi/g is inf, so every snapped time would be NaN: refused before any file
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["fig4", "--g-over-j", g, "--out", str(out)]) == 2
+    assert "config error: --g-over-j: pi/g overflows to inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fig4_runs_at_a_tiny_coupling_with_a_finite_period(tmp_path):
+    # pi/g = 1.57e308 is finite: every time snaps to 0
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["fig4", "--g-over-j", "2e-308", "--out", str(out)]) == 0
+    values = read_csv(out / "fig4_g2e-308_maxmap.csv")[1]
+    assert np.all(np.isfinite(values))
+    assert (out / "fig4_g2e-308_maxmap.svg").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [

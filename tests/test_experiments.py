@@ -405,6 +405,19 @@ def test_library_calls_beyond_the_bound_raise(monkeypatch):
         run_fig4(1e5)
 
 
+@pytest.mark.parametrize("order", [1, -1])
+def test_nan_times_fail_the_bound_before_any_setup(monkeypatch, order):
+    # nan > 1e6 is False: a test written that way would pass NaN times, and
+    # the largest product must not let a finite run hide a NaN one
+    monkeypatch.setattr(experiments, "make_propagator", _no_setup)
+    params = ModelParams(9, coupling=1.0)
+    runs = [("analytic", params, 5, times, len, [slice(None)])
+            for times in (np.linspace(0.0, 20.0, 4), np.array([0.0, np.nan]))]
+    with pytest.raises(EnergyTimeError) as info:
+        experiments.evolve_runs(runs[::order])
+    assert np.isnan(info.value.args[1])
+
+
 @pytest.mark.parametrize("g_over_j, refused", [(11109.0, False), (11110.0, True)])
 def test_fig4_bound_boundary(monkeypatch, g_over_j, refused):
     monkeypatch.setattr(experiments, "make_propagator", _no_setup)

@@ -16,7 +16,8 @@ import pytest
 
 import jacobi_reference as ref
 import jchsim
-from jchsim import entanglement
+from jchsim import dynamics, entanglement
+from jchsim.dynamics import DenseOraclePropagator
 from jchsim.entanglement import concurrence_wootters_oracle, reduce_to_pair
 from jchsim.linalg import jacobi_eigh
 from jchsim.model import ModelParams, build_hamiltonian
@@ -93,10 +94,28 @@ def assert_same_bits_without_warnings(a):
 
 
 def test_oracle_size_chain_bit_identical():
-    # 2N = 192, the dense oracle's size; its first sweep skips the pairs with a_pq == 0
+    # the whole 2N = 192 Hamiltonian at N = 96, which the dense oracle splits into smaller
+    # solves (tested below); its first sweep skips the pairs with a_pq == 0
     h = build_hamiltonian(ModelParams(96, coupling=1.0))
     assert any(0 < np.count_nonzero(h[p, q]) < len(p) for p, q in ref._round_robin(192))
     assert_same_bits_without_warnings(h)
+
+
+@pytest.mark.parametrize("n, g", [(96, 1.0), (47, 1.5), (12, 1.3e8)])
+def test_dense_oracle_solves_bit_identical(monkeypatch, n, g):
+    # the matrices the dense oracle solves: the photon chain's two mirror sectors, then
+    # every mode with its atom in one 2N matrix whose rounds after round 0 all skip
+    seen = []
+
+    def record(a):
+        seen.append(np.array(a, dtype=float))
+        return jacobi_eigh(a)
+
+    monkeypatch.setattr(dynamics, "jacobi_eigh", record)
+    DenseOraclePropagator(build_hamiltonian(ModelParams(n, coupling=g)))
+    assert [len(m) for m in seen] == [(n + 1) // 2, n // 2, 2 * n]
+    for m in seen:
+        assert_same_bits_without_warnings(m)
 
 
 def test_odd_size_with_an_index_sitting_out_bit_identical():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from jchsim.dynamics import make_propagator
-from jchsim.entanglement import concurrence_wootters_oracle
+from jchsim import dynamics, spectral
+from jchsim.dynamics import DenseOraclePropagator, make_propagator
+from jchsim.entanglement import concurrence_wootters_oracle, reduce_to_pair
 from jchsim.linalg import evolution_phases, jacobi_eigh
-from jchsim.model import ModelParams, initial_atomic_excitation
+from jchsim.model import ModelParams, build_hamiltonian, initial_atomic_excitation
 
 
 def test_jacobi_diagonal_input():
@@ -75,3 +76,28 @@ def test_oracles_run_without_lapack_eigensolvers(monkeypatch):
     params = ModelParams(6, coupling=0.7)
     state = make_propagator("dense", params).evolve(initial_atomic_excitation(params, 3), 2.0)
     assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
+
+
+def test_oracles_share_no_formula_with_the_analytic_path(monkeypatch):
+    # the dense and Wootters oracles check the mode tables, so they must run, to the
+    # same bits, with the LAPACK eigensolvers and the sine modes and mode table refused
+    def oracles():
+        params = ModelParams(12, coupling=1.3, atom_freq=0.2)
+        state0 = initial_atomic_excitation(params, 4)
+        states = DenseOraclePropagator(build_hamiltonian(params)).evolve(state0, [0.5, 7.25])
+        return states, [concurrence_wootters_oracle(reduce_to_pair(states[1], i, 6))
+                        for i in (2, 5, 9)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle reached the analytic path or a LAPACK eigen-routine")
+
+    states, concurrences = oracles()
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for module in (dynamics, spectral):
+        monkeypatch.setattr(module, "mode_table", refuse)
+        monkeypatch.setattr(module, "sine_modes", refuse)
+    guarded_states, guarded_concurrences = oracles()
+    assert guarded_states.tobytes() == states.tobytes()
+    assert np.array(guarded_concurrences).tobytes() == np.array(concurrences).tobytes()
+    assert 0.0 < max(concurrences) < 1.0

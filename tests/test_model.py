@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from jchsim.linalg import jacobi_eigh
-from jchsim.model import (
-    ATOM,
-    MAX_ENERGY,
-    PHOTON,
-    ModelParams,
-    build_hamiltonian,
-    flat_index,
-    initial_atomic_excitation,
-)
+from jchsim.model import MAX_ENERGY, ModelParams, build_hamiltonian, initial_atomic_excitation
 from jchsim.spectral import mode_table
 
 
@@ -37,17 +29,15 @@ def test_params_reject_non_finite(field, value):
         ModelParams(n_cavities=5, **{field: value})
 
 
-def test_flat_index_layout():
-    assert flat_index(PHOTON, 1, 4) == 0
-    assert flat_index(PHOTON, 4, 4) == 3
-    assert flat_index(ATOM, 1, 4) == 4
-    assert flat_index(ATOM, 4, 4) == 7
-
-
-def test_flat_index_round_trip():
-    n = 7
-    indices = [flat_index(kind, site, n) for kind in (PHOTON, ATOM) for site in range(1, n + 1)]
-    assert indices == list(range(2 * n))
+def test_initial_excitation_layout():
+    # the N photon amplitudes come first, then the atom at site x0 at index N + x0 - 1
+    for n in (2, 4, 7):
+        params = ModelParams(n, coupling=1.0)
+        for x0 in range(1, n + 1):
+            assert np.flatnonzero(initial_atomic_excitation(params, x0)).tolist() == [n + x0 - 1]
+        for x0 in (0, n + 1):
+            with pytest.raises(ValueError, match=rf"site {x0} out of range \[1, {n}\]"):
+                initial_atomic_excitation(params, x0)
 
 
 def test_hamiltonian_decoupled_atoms():
