@@ -6,16 +6,10 @@ from .dynamics import (
     StrongCouplingPropagator,
     TimeGrid,
     WeakCouplingPropagator,
-    evolve_series,
     make_propagator,
     validity,
 )
-from .entanglement import (
-    concurrence_map,
-    concurrence_wootters_oracle,
-    reduce_to_pair,
-    running_max_map,
-)
+from .entanglement import concurrence_wootters_oracle, reduce_to_pair
 from .experiments import ExperimentSpec, run_fig2, run_fig3, run_fig4, run_sweep
 from .model import ModelParams, build_hamiltonian, initial_atomic_excitation
 from .spectral import ModeTable, mode_table
@@ -30,9 +24,7 @@ __all__ = [
     "TimeGrid",
     "WeakCouplingPropagator",
     "build_hamiltonian",
-    "concurrence_map",
     "concurrence_wootters_oracle",
-    "evolve_series",
     "initial_atomic_excitation",
     "make_propagator",
     "mode_table",
@@ -41,7 +33,6 @@ __all__ = [
     "run_fig3",
     "run_fig4",
     "run_sweep",
-    "running_max_map",
     "validity",
 ]
 

@@ -1,7 +1,8 @@
 """Time evolution in the single-excitation sector.
 
-Four propagators are provided; the first three are AnalyticPropagator (sine
-modes, a 2x2 unitary per mode, back to sites), each with its own mode table:
+Four propagators are provided; the first three are AnalyticPropagator (the
+complex sine vectors of ``sine_modes``, a 2x2 unitary per mode, back to sites),
+each with its own mode table:
 
 * AnalyticPropagator -- exact, via the 2x2 dressed blocks of the normal-mode
   decomposition; valid in every coupling regime.
@@ -75,8 +76,7 @@ class AnalyticPropagator:
     def __init__(self, params: ModelParams):
         self.params = params
         self.modes = self.table(mode_table(params))
-        # the complex copy every back transform would otherwise cast afresh (exact)
-        self._vectors = sine_modes(params.n_cavities)[2]
+        self._vectors = sine_modes(params.n_cavities)[1]
 
     def table(self, modes: ModeTable) -> ModeTable:
         """The per-mode blocks this propagator applies; the exact dressed ones here."""

@@ -308,8 +308,11 @@ def fig4_grid(g_over_j: float) -> np.ndarray:
 
     Each sample is snapped to the nearest multiple of pi/g, where the fast
     cos^2(gt) envelope peaks; an unsnapped grid would alias the envelope and
-    systematically under-record the concurrence maxima.
+    systematically under-record the concurrence maxima.  Raises ValueError
+    unless g is finite and > 0 with pi/g finite.
     """
+    if not (0 < g_over_j < math.inf and math.pi / float(g_over_j) < math.inf):
+        raise ValueError(f"fig4 needs a finite g > 0 with pi/g finite, got {g_over_j}")
     times = np.arange(0.0, 90.0 + 1e-12, 0.05)
     period = math.pi / g_over_j
     # the snapped grid never decreases, so dropping repeats is np.unique (no numpy.ma)

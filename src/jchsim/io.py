@@ -77,9 +77,7 @@ def _parse_value(key, raw):
         return parse_pairs(raw)
     if key in _FLOAT_LISTS:
         return [float(x) for x in raw.split(",")]
-    if key == "out":
-        return raw
-    raise KeyError(key)
+    return raw  # out, a path
 
 
 def parse_config(text: str, flags=()) -> RunConfig:
@@ -109,7 +107,7 @@ def parse_config(text: str, flags=()) -> RunConfig:
             raise ConfigError(f"{source}: unknown key {key!r}")
         try:
             setattr(cfg, key, _parse_value(key, raw))
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{source}: bad value for {key!r}: {exc}") from exc
         cfg._sources[key] = source
     validate(cfg)

@@ -70,9 +70,6 @@ def jacobi_eigh(a: np.ndarray):
     original, scale = checked_symmetric(a)
     a = original.copy()
     n = a.shape[0]
-    if scale == 0.0 or n == 1:
-        order = np.argsort(np.diag(a))
-        return np.diag(a)[order], np.eye(n)[:, order]
     # rotations with |a_pq| below this cannot affect the converged result
     skip = 0.01 * _JACOBI_TOL * scale / n
     rounds = _schedule(n)

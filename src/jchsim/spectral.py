@@ -2,8 +2,9 @@
 
 For a uniform open chain the photon normal modes are standing waves
 v_{k,x} = sqrt(2/(N+1)) sin(kx) with k = pi*m/(N+1), m = 1..N, at frequencies
-omega_k = omega_c - 2J cos(k).  Each mode hybridizes with its atomic
-counterpart through a 2x2 block, giving two dressed branches per mode.
+omega_k = omega_c - 2J cos(k); :func:`sine_modes` holds k and v, the real v
+stored as complex numbers for the transforms.  Each mode hybridizes with its
+atomic counterpart through a 2x2 block, giving two dressed branches per mode.
 :func:`mode_table` returns both as the two rows of one ``ModeTable``, '+' then
 '-' (``BRANCH_SIGNS``): the table that ``AnalyticPropagator`` applies, and its
 weak and strong subclasses replace.
@@ -26,15 +27,14 @@ BRANCH_SIGNS.setflags(write=False)
 class ModeTable:
     """Normal modes plus the 2x2 block of each mode.
 
-    ``vectors[m-1, x-1]`` holds v_{k,x}.  ``a``, ``b`` and ``eps`` have shape
-    (2, N), row 0 for branch '+' and row 1 for branch '-': branch s of mode m has
-    photon weight ``a[s, m-1]``, atomic weight ``b[s, m-1]`` and energy ``eps[s, m-1]``.
+    ``a``, ``b`` and ``eps`` have shape (2, N), row 0 for branch '+' and row 1
+    for branch '-': branch s of mode m has photon weight ``a[s, m-1]``, atomic
+    weight ``b[s, m-1]`` and energy ``eps[s, m-1]``.  v is in ``sine_modes``.
     """
 
     params: ModelParams
     momenta: np.ndarray
     frequencies: np.ndarray
-    vectors: np.ndarray
     detunings: np.ndarray
     rabi: np.ndarray
     a: np.ndarray
@@ -44,14 +44,15 @@ class ModeTable:
 
 @functools.lru_cache(maxsize=8)
 def sine_modes(n: int) -> tuple:
-    """Momenta k, the sine vectors ``vectors[m-1, x-1]`` and their exact complex copy.
+    """Momenta k and the sine vectors ``vectors[m-1, x-1]`` = v_{k,x}, stored complex.
 
-    They depend on N alone, so every coupling of a sweep shares them; the arrays
-    are read-only.
+    The vectors are real; the complex dtype spares every transform a cast.  They
+    depend on N alone, so every coupling of a sweep shares them; the arrays are
+    read-only.
     """
     k = np.pi * np.arange(1, n + 1) / (n + 1)
     vectors = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, np.arange(1, n + 1)))
-    arrays = (k, vectors, vectors.astype(complex))
+    arrays = (k, vectors.astype(complex))
     for x in arrays:
         x.setflags(write=False)
     return arrays
@@ -59,7 +60,7 @@ def sine_modes(n: int) -> tuple:
 
 def mode_table(params: ModelParams) -> ModeTable:
     """Closed-form normal modes of the open uniform chain and their dressed spectrum."""
-    k, vectors, _ = sine_modes(params.n_cavities)
+    k = sine_modes(params.n_cavities)[0]
     frequencies = params.cavity_freq - 2.0 * params.hopping * np.cos(k)
 
     g = params.coupling
@@ -75,7 +76,6 @@ def mode_table(params: ModelParams) -> ModeTable:
         params=params,
         momenta=k,
         frequencies=frequencies,
-        vectors=vectors,
         detunings=delta,
         rabi=rabi,
         a=np.divide(2.0 * g, r, out=np.where(bare_atom, 0.0, 1.0), where=r > 0),

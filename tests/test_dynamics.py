@@ -406,7 +406,7 @@ def test_jacobi_refuses_a_matrix_whose_norm_overflows(size):
 
 @pytest.mark.parametrize("size", [1e-200, 1.5e-162, 5e-324])
 def test_jacobi_refuses_a_nonzero_matrix_whose_norm_underflows(size):
-    # an underflowing norm sent a nonzero matrix down the zero-matrix path: identity vectors
+    # an underflowing norm would pass the convergence test before any rotation: identity vectors
     h = build_hamiltonian(ModelParams(5, coupling=1.0))
     h[h != 0] *= size
     assert "underflows" in _dense_refusal(h)
@@ -438,9 +438,13 @@ def _recorded_solves(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 9, 16, 17])
-def test_dense_sectors_match_one_full_solve(monkeypatch, n):
-    params = ModelParams(n, coupling=1.3, cavity_freq=-0.2, atom_freq=0.37)
+@pytest.mark.parametrize("n, omega_c", [
+    *(pytest.param(n, -0.2, id=str(n)) for n in (2, 3, 8, 9, 16, 17)),
+    # at n = 3 the mirror-odd sector is the 1 x 1 matrix [[-0.0]]
+    *(pytest.param(n, -0.0, id=f"{n}-omega_c-0") for n in (2, 3)),
+])
+def test_dense_sectors_match_one_full_solve(monkeypatch, n, omega_c):
+    params = ModelParams(n, coupling=1.3, cavity_freq=omega_c, atom_freq=0.37)
     h = build_hamiltonian(params)
     sizes = _recorded_solves(monkeypatch)
     dense = DenseOraclePropagator(h)

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -381,6 +382,27 @@ def test_fig4_grid_equals_unique_of_the_snapped_grid(g_over_j):
     snapped = np.round(np.arange(0.0, 90.0 + 1e-12, 0.05) / period) * period
     grid, unique = fig4_grid(g_over_j), np.unique(snapped)
     assert grid.dtype == unique.dtype and grid.tobytes() == unique.tobytes()
+
+
+@pytest.mark.parametrize("g_over_j", [0.0, -1.0, 1e-308, 5e-324, math.inf, math.nan])
+def test_fig4_grid_refuses_a_coupling_it_cannot_snap_to(g_over_j):
+    # 0 divided by zero; 1e-308, 5e-324 and inf warned and gave NaN grids, NaN a NaN grid
+    # in silence, and -1 a grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="pi/g"):
+            fig4_grid(g_over_j)
+
+
+def test_run_fig4_refuses_such_a_coupling_and_snaps_a_tiny_finite_one(monkeypatch):
+    monkeypatch.setattr(experiments, "make_propagator", _no_setup)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g_over_j in (0.0, 1e-308):
+            with pytest.raises(ValueError, match="pi/g"):
+                run_fig4(g_over_j)
+        # pi / 2e-308 is finite, so every time snaps to 0
+        assert fig4_grid(2e-308).tolist() == [0.0]
 
 
 def _no_setup(method, params):

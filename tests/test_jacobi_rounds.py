@@ -93,6 +93,17 @@ def assert_same_bits_without_warnings(a):
         assert_same_bits(a)
 
 
+@pytest.mark.parametrize("a", [
+    *(pytest.param([[x]], id=f"1x1-{x:g}") for x in (-3.5, 0.0, 1e-160, 1e150)),
+    *(pytest.param(np.zeros((n, n)), id=f"zeros-{n}") for n in range(1, 6)),
+])
+def test_one_by_one_and_zero_matrices_bit_identical(a):
+    # the convergence test passes before the first round, and _rayleigh_refine returns the
+    # diagonal: +0.0 for a zero matrix, which holds no nonzeros to sum.  1e-160 is near the
+    # smallest 1 x 1 entry whose norm does not underflow (1e-300 is refused, as at every size)
+    assert_same_bits_without_warnings(np.array(a, dtype=float))
+
+
 def test_oracle_size_chain_bit_identical():
     # the whole 2N = 192 Hamiltonian at N = 96, which the dense oracle splits into smaller
     # solves (tested below); its first sweep skips the pairs with a_pq == 0
