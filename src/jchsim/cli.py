@@ -191,10 +191,20 @@ _COMMANDS = {
 }
 
 
+def _joined(argv) -> list:
+    """argv with each flag and its value as one --flag=value: argparse takes -1e-5 for a flag."""
+    args, i = list(argv), 0
+    while i < len(args) - 1:
+        if args[i] in {"--config", *map(_flag, _HELP)}:
+            args[i:i + 2] = [f"{args[i]}={args[i + 1]}"]
+        i += 1
+    return args
+
+
 def cli_main(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined(argv))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

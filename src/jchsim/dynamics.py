@@ -12,14 +12,11 @@ each with its own mode table:
 * StrongCouplingPropagator -- the table ``strong_table``: decoupled polariton
   chains; meaningful when g dominates the free-field bandwidth and the atomic
   frequency.
-* DenseOraclePropagator -- exact, via Jacobi eigendecompositions taken from
-  the entries of the Hamiltonian matrix: when its photon-atom and atom blocks
-  are exactly g I and w_a I, one of the photon block (per mirror sector when it
-  equals its mirror x -> N+1-x exactly) and one of all N mode-atom pairs,
-  which a single Jacobi round turns; one of the whole matrix otherwise.  It
-  shares no formulas with the analytic path beyond ``evolution_phases`` (the
-  splits rest on exact structure tests, not on sine modes or closed forms) and
-  accepts arbitrary symmetric photon-hopping matrices.
+* DenseOraclePropagator -- exact, via Jacobi from the entries of the Hamiltonian
+  matrix: the photon block (per mirror sector when it equals its mirror exactly)
+  and one rotation per mode-atom pair, or the whole matrix when its other blocks
+  are not exactly g I and w_a I.  It shares no formulas with the analytic path
+  beyond ``evolution_phases`` and accepts any symmetric photon-hopping matrix.
 
 The mode propagators take only the ModelParams and build their own mode table.
 ``validity(method, params)`` says how far an effective one strays from exact.
@@ -34,7 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import checked_symmetric, evolution_phases, jacobi_eigh
+from .linalg import (_rayleigh_refine, checked_symmetric, evolution_phases, jacobi_eigh,
+                     jacobi_rotation)
 from .model import ModelParams, build_hamiltonian
 from .spectral import BRANCH_SIGNS, ModeTable, mode_table, sine_modes
 
@@ -135,31 +133,32 @@ def _chain_eigh(c: np.ndarray):
 
 
 class DenseOraclePropagator:
-    """Exact evolution via Jacobi eigendecompositions: the photon chain, then one round of pairs.
+    """Exact evolution via Jacobi: the photon chain's eigenpairs, then one rotation per mode.
 
     When H is exactly [[H_c, g I], [g I, w_a I]] (as ``build_hamiltonian`` makes it), it
-    commutes with diag(H_c, H_c): H_c = V diag(lam) V^T is solved alone, by mirror sector
-    when it equals its mirror exactly, and the N blocks [[lam_k, g], [g, w_a]] in one
-    2N-matrix solve that places mode k at index k and its atom at 2N-1-k, the pairs that
-    round 0 of the Jacobi schedule turns together.  diag(V, V) maps the vectors back.  Any
-    other symmetric matrix is solved whole.  Every matrix is taken from the entries of H,
-    with no product, after H passes ``jacobi_eigh``'s checks.
+    commutes with diag(H_c, H_c): H_c = V diag(lam) V^T is solved alone (by mirror sector
+    when it equals its mirror exactly) and one ``jacobi_rotation`` turns each block
+    [[lam_k, g], [g, w_a]], mapped back by diag(V, V); any other H that passes
+    ``jacobi_eigh``'s checks is solved whole.  The eigenvalues are the vectors' long-double
+    Rayleigh quotients against H (double where the platform's long double is).
     """
 
     def __init__(self, hamiltonian: np.ndarray):
         h = checked_symmetric(hamiltonian)[0]
-        n, k = len(h) // 2, np.arange(len(h) // 2)
+        n = len(h) // 2
         g, w_a, eye = h[n, 0], h[n, n], np.eye(n)
         if len(h) % 2 or not (np.array_equal(h, h.T) and np.array_equal(h[n:, :n], g * eye)
                               and np.array_equal(h[n:, n:], w_a * eye)):
-            self.eigenvalues, self.eigenvectors = jacobi_eigh(h)
-            return
-        lam, v = _chain_eigh(h[:n, :n])
-        pairs = np.zeros_like(h)
-        pairs[k, k], pairs[~k, ~k], pairs[k, ~k], pairs[~k, k] = lam, w_a, g, g
-        w, y = jacobi_eigh(pairs)
-        # a column of y[k] or y[~k] holds at most one nonzero, so each product is one rounding
-        self.eigenvalues, self.eigenvectors = w, np.concatenate([v @ y[k], v @ y[~k]])
+            u = jacobi_eigh(h)[1]
+        else:
+            lam, v = _chain_eigh(h[:n, :n])
+            with np.errstate(over="ignore"):  # g so small that theta overflows turns by (1, 0)
+                c, s = jacobi_rotation(lam, w_a, g)
+            u = np.block([[v * c, v * s], [v * -s, v * c]])
+        w = _rayleigh_refine(h, u)
+        order = np.argsort(w, kind="stable")
+        # take gives C order: evolve's matrix products round by layout
+        self.eigenvalues, self.eigenvectors = w[order], u.take(order, 1)
 
     def evolve(self, state: np.ndarray, t, atoms_only: bool = False) -> np.ndarray:
         """State at time t, shape (2N,); for an array of times, shape (len(t), 2N).

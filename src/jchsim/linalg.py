@@ -49,13 +49,12 @@ def jacobi_eigh(a: np.ndarray):
 
     Each sweep visits every (p, q) pair once in round-robin (Brent-Luk
     parallel) order: a round holds up to n/2 disjoint pairs, and with n odd
-    one index sits out each round.  The disjoint rotations of a round commute,
-    so they are applied together to the columns of a, its rows and the rows
-    of the eigenvectors, each as one in-place x <- c x + s x[partner] over the
-    whole matrix: partner swaps p and q, and c and s are two length-n vectors,
-    (c, -s) at p and (c, s) at q, broadcast along the other axis.  An index
-    that sits out and a skipped pair turn by cos 1 and sin 0, so no round
-    branches on its kept pairs or allocates an array of the matrix's size.
+    one index sits out each round.  The disjoint ``jacobi_rotation``s of a round
+    commute, so they are applied together to the columns of a, its rows and the
+    rows of the eigenvectors, each as one in-place x <- c x + s x[partner]:
+    partner swaps p and q, and c and s are length-n vectors, (c, -s) at p and
+    (c, s) at q.  An index that sits out and a skipped pair turn by cos 1 and
+    sin 0, so no round branches on its kept pairs or allocates a matrix.
     Sweeps repeat until the off-diagonal Frobenius norm drops below
     ``_JACOBI_TOL`` relative to the matrix norm.  Returns (eigenvalues
     ascending, eigenvectors as columns).
@@ -85,9 +84,8 @@ def jacobi_eigh(a: np.ndarray):
         np.copyto(off, a)  # a with its diagonal zeroed, for the off-diagonal norm
         np.fill_diagonal(off, 0.0)
         if np.linalg.norm(off) <= _JACOBI_TOL * scale:
-            # the columns in C order: _rayleigh_refine's sums round by layout
-            vecs = vt.T.copy()
-            w = _rayleigh_refine(original, vecs)
+            vecs = vt.T
+            w = _rayleigh_refine(original, vecs).astype(float)
             order = np.argsort(w, kind="stable")
             return w[order], vecs[:, order]
         for p, q, zeroed, partner in rounds:
@@ -95,12 +93,7 @@ def jacobi_eigh(a: np.ndarray):
             keep = np.abs(apq) > skip
             if not keep.any():
                 continue
-            # a skipped pair turns by cos 1 and sin 0; its a_pq = 1 only keeps theta finite
-            theta = 0.5 * (diag[q] - diag[p]) / np.where(keep, apq, 1.0)
-            t = np.sign(theta) / (np.abs(theta) + np.hypot(theta, 1.0))
-            t[theta == 0.0] = 1.0
-            c = np.where(keep, 1.0 / np.sqrt(t * t + 1.0), 1.0)
-            s = np.where(keep, t * c, 0.0)
+            c, s = jacobi_rotation(diag[p], diag[q], np.where(keep, apq, 0.0))
             # new (x_p, x_q) = (c x_p - s x_q, s x_p + c x_q); an index that sits out keeps x
             cos.fill(1.0)
             sin.fill(0.0)
@@ -111,6 +104,20 @@ def jacobi_eigh(a: np.ndarray):
             flat[zeroed.compress(keep, 1)] = 0.0
             _rotate(vt, partner, 0, cos_rows, sin_rows, taken)
     raise ConvergenceError(f"Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
+
+
+def jacobi_rotation(app, aqq, apq):
+    """(c, s) with which (x_p, x_q) -> (c x_p - s x_q, s x_p + c x_q) diagonalizes each block
+    [[app, apq], [apq, aqq]] by its smaller angle (Golub and Van Loan, sec. 8.5): (1, 0) where
+    a_pq = 0.  Where a_pq is below about |aqq - app| / 1e308, theta overflows (numpy warns)
+    and the result is the same limit."""
+    zero = apq == 0.0
+    # a_pq = 1 where it is 0 only keeps theta finite
+    theta = 0.5 * (aqq - app) / np.where(zero, 1.0, apq)
+    t = np.sign(theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+    t[theta == 0.0] = 1.0
+    c = np.where(zero, 1.0, 1.0 / np.sqrt(t * t + 1.0))
+    return c, np.where(zero, 0.0, t * c)
 
 
 def _rotate(x, partner, axis, cos, sin, taken):
@@ -156,11 +163,12 @@ def _schedule(n: int) -> tuple:
 
 
 def _rayleigh_refine(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Rayleigh quotients of the Jacobi eigenvectors, accumulated in extended precision.
+    """Rayleigh quotients of the eigenvector columns against a, in long double.
 
     The rotation cascade leaves the diagonal with an O(sqrt(rotations) * eps *
     ||A||) error, which propagation phases E*t amplify; recomputing against the
-    untouched input matrix in long double removes the accumulation.
+    untouched input matrix in long double removes the accumulation.  A quotient's
+    error is the square of its vector's (Parlett, ch. 4), so it is kept in long double.
 
     A v sums each row's nonzero terms in ascending column order from +0: the sum
     that numpy's long-double matmul (which has no BLAS path) forms over every
@@ -168,7 +176,7 @@ def _rayleigh_refine(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     with fewer nonzeros are padded with 0 * v[0], which adds such a zero term.
     """
     al = a.astype(np.longdouble)
-    vl = vecs.astype(np.longdouble)
+    vl = vecs.astype(np.longdouble, order="C")  # the sums round by layout, not column order
     rows, cols = np.nonzero(a)  # in row-major order
     rank = np.arange(len(rows)) - np.searchsorted(rows, rows)  # place within its row
     # row i's k-th nonzero and its column at [k, i]
@@ -178,8 +186,7 @@ def _rayleigh_refine(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     av = np.zeros_like(vl)
     for value, column in zip(values, columns):
         av += value[:, None] * vl[column]
-    w = np.einsum("ij,ij->j", vl, av) / np.einsum("ij,ij->j", vl, vl)
-    return w.astype(float)
+    return np.einsum("ij,ij->j", vl, av) / np.einsum("ij,ij->j", vl, vl)
 
 
 def evolution_phases(energies: np.ndarray, t: float) -> np.ndarray:
@@ -192,12 +199,8 @@ def evolution_phases(energies: np.ndarray, t: float) -> np.ndarray:
     sine are written straight into the complex result; no complex exponential
     or temporary complex angle is formed.
     """
-    angle = np.mod(
-        np.multiply.outer(
-            np.asarray(t, dtype=np.longdouble), np.asarray(energies, dtype=np.longdouble)
-        ),
-        _TWO_PI_LD,
-    ).astype(float)
+    t, energies = np.asarray(t, dtype=np.longdouble), np.asarray(energies, dtype=np.longdouble)
+    angle = np.mod(np.multiply.outer(t, energies), _TWO_PI_LD).astype(float)
     phases = np.empty(angle.shape, dtype=complex)
     np.cos(angle, out=phases.real)
     np.sin(angle, out=phases.imag)

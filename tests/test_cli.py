@@ -78,6 +78,27 @@ def test_bad_flag_override_is_config_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig4", "--g-over-j", "-1e-5"],
+    ["evolve", "--t-max", "-1e-3"],
+    ["fig4", "--g-over-j", "10", "--scale-max", "-1e-3"],
+], ids=" ".join)
+def test_negative_value_in_exponent_form_is_config_error(tmp_path, capsys, argv):
+    # argparse took -1e-5 for an option and exited 1 with "expected one argument"
+    flag = argv[-2]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 11\ng = 0.5\n")
+    out = tmp_path / "r"
+    assert cli_main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_flag_without_its_value_is_usage_error(capsys):
+    assert cli_main(["fig4", "--g-over-j"]) == 1
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_unwritable_out_is_runtime_error(tmp_path, capsys):
     blocker = tmp_path / "out"
     blocker.write_text("")

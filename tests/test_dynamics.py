@@ -24,7 +24,7 @@ from jchsim.dynamics import (
     validity,
     weak_table,
 )
-from jchsim.linalg import jacobi_eigh
+from jchsim.linalg import _rayleigh_refine, jacobi_eigh
 from jchsim.model import ModelParams, build_hamiltonian, initial_atomic_excitation, max_energy
 from jchsim.spectral import mode_table
 
@@ -448,9 +448,9 @@ def test_dense_sectors_match_one_full_solve(monkeypatch, n, omega_c):
     h = build_hamiltonian(params)
     sizes = _recorded_solves(monkeypatch)
     dense = DenseOraclePropagator(h)
-    # the chain's two mirror sectors (the even one holds the centre site of an odd N),
-    # then every mode with its atom in one 2N solve
-    assert sizes == [(n + 1) // 2, n // 2, 2 * n]
+    # the chain's two mirror sectors (the even one holds the centre site of an odd N);
+    # every mode with its atom is one rotation, not a solve
+    assert sizes == [(n + 1) // 2, n // 2]
     w, u = dense.eigenvalues, dense.eigenvectors
     assert np.all(np.diff(w) >= 0)
     assert np.abs(w - jacobi_eigh(h)[0]).max() <= 1e-12 * np.linalg.norm(h)
@@ -468,7 +468,7 @@ def test_polariton_hamiltonians_are_solved_whole(monkeypatch, n, drop_cross_term
     sizes = _recorded_solves(monkeypatch)
     dense = DenseOraclePropagator(h)
     assert sizes == [2 * n]
-    assert np.array_equal(dense.eigenvalues, whole[0])
+    assert np.array_equal(dense.eigenvalues.astype(float), whole[0])
     assert np.array_equal(dense.eigenvectors, whole[1])
     assert np.abs(dense.eigenvalues - np.linalg.eigh(h)[0]).max() <= 1e-12 * np.linalg.norm(h)
 
@@ -479,7 +479,7 @@ def test_a_broken_mirror_is_solved_as_one_sector(monkeypatch, n):
     h[0, 1] = h[1, 0] = -1.1  # one hopping changed
     sizes = _recorded_solves(monkeypatch)
     dense = DenseOraclePropagator(h)
-    assert sizes == [n, 2 * n]  # the photon chain whole, then the pairs
+    assert sizes == [n]  # the photon chain whole; the pairs take one rotation each
     u = dense.eigenvectors
     assert np.abs(u.T @ u - np.eye(2 * n)).max() <= 1e-13
     assert np.abs(dense.eigenvalues - np.linalg.eigh(h)[0]).max() <= 1e-12 * np.linalg.norm(h)
@@ -490,7 +490,7 @@ def test_a_matrix_of_odd_size_is_solved_as_one_sector(monkeypatch):
     whole = jacobi_eigh(h)
     sizes = _recorded_solves(monkeypatch)
     dense = DenseOraclePropagator(h)
-    assert np.array_equal(dense.eigenvalues, whole[0])
+    assert np.array_equal(dense.eigenvalues.astype(float), whole[0])
     assert np.array_equal(dense.eigenvectors, whole[1])
     assert sizes == [5]
 
@@ -506,12 +506,35 @@ def test_any_photon_block_beside_g_and_w_a_blocks_matches_eigh(monkeypatch, n, g
     h[n:, n:] = -0.6 * np.eye(n)
     sizes = _recorded_solves(monkeypatch)
     dense = DenseOraclePropagator(h)
-    assert sizes == [n, 2 * n]
+    assert sizes == [n]
     w, u = dense.eigenvalues, dense.eigenvectors
     scale = np.linalg.norm(h)
     assert np.abs(w - np.linalg.eigh(h)[0]).max() <= 1e-12 * scale
     assert np.abs(u.T @ u - np.eye(2 * n)).max() <= 1e-12
     assert np.abs(h @ u - u * w).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("h", [
+    pytest.param(build_hamiltonian(ModelParams(9, coupling=1.3, atom_freq=0.37)), id="pairs"),
+    pytest.param(build_polariton_hamiltonian(ModelParams(8, coupling=2.0), False), id="whole"),
+])
+def test_dense_eigenvalues_are_long_double_rayleigh_quotients(h):
+    dense = DenseOraclePropagator(h)
+    assert dense.eigenvalues.dtype == np.longdouble
+    assert np.array_equal(dense.eigenvalues, _rayleigh_refine(h, dense.eigenvectors))
+    assert np.all(np.diff(dense.eigenvalues) >= 0)
+
+
+@pytest.mark.parametrize("g", [0.0, 5e-324, 1e-310, 1e-200])
+def test_dense_oracle_turns_vanishing_couplings_without_warnings(g):
+    # (w_a - lam_k) / (2 g) overflows below about 1e-308 J; the rotation is then the identity
+    h = build_hamiltonian(ModelParams(9, coupling=g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dense = DenseOraclePropagator(h)
+    u, w = dense.eigenvectors, dense.eigenvalues.astype(float)
+    assert np.abs(u.T @ u - np.eye(18)).max() <= 1e-15
+    assert np.abs(h @ u - u * w).max() <= 1e-14
 
 
 def _pi_a_at_50_digits(mpmath, h, x0, t):
@@ -554,13 +577,13 @@ def test_dense_and_analytic_agree_with_a_50_digit_solve_at_the_worst_scanned_poi
     dense = _pi_a(make_propagator("dense", params), params, 6, t)
     assert abs(dense - analytic) <= 1e-10
     assert abs(analytic - exact) <= 1e-10
-    assert abs(dense - exact) <= 1e-10
+    assert abs(dense - exact) <= 1e-12  # 2.6e-12 with eigenvalues rounded to double
 
 
 def test_both_methods_stay_within_1e_10_of_a_50_digit_solve_at_the_time_bound():
     # the thinnest margin of a scan over n = 4..96 and g/J = 1e-2..1e12 under
-    # MAX_ENERGY_TIME: max|E| * t = 9.9e5, where the two methods' phase rounding
-    # puts them 9.2e-11 apart (analytic 3.6e-11 and dense 5.6e-11 off)
+    # MAX_ENERGY_TIME: max|E| * t = 9.9e5, where the analytic eigenvalues' rounding to
+    # double puts it 3.6e-11 off; dense, whose eigenvalues stay in long double, 3.8e-14
     mpmath = pytest.importorskip("mpmath")
     params = ModelParams(4, hopping=1.0, coupling=570791.0)
     t = 9.9e5 / max_energy(params)
@@ -570,4 +593,14 @@ def test_both_methods_stay_within_1e_10_of_a_50_digit_solve_at_the_time_bound():
     dense = _pi_a(make_propagator("dense", params), params, 2, t)
     assert abs(dense - analytic) < 1e-10
     assert abs(analytic - exact) < 1e-10
-    assert abs(dense - exact) < 1e-10
+    assert abs(dense - exact) <= 1e-12
+
+
+def test_dense_stays_within_1e_12_of_a_50_digit_solve_detuned_at_the_time_bound():
+    # dense 2.9e-12 off here while its eigenvalues were rounded to double
+    mpmath = pytest.importorskip("mpmath")
+    params = ModelParams(12, coupling=1.7, cavity_freq=-0.2, atom_freq=0.3)
+    t = 9.9e5 / max_energy(params)
+    exact = _pi_a_at_50_digits(mpmath, build_hamiltonian(params), 5, t)
+    assert abs(_pi_a(AnalyticPropagator(params), params, 5, t) - exact) < 1e-10
+    assert abs(_pi_a(make_propagator("dense", params), params, 5, t) - exact) <= 1e-12

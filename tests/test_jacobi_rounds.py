@@ -114,8 +114,8 @@ def test_oracle_size_chain_bit_identical():
 
 @pytest.mark.parametrize("n, g", [(96, 1.0), (47, 1.5), (12, 1.3e8)])
 def test_dense_oracle_solves_bit_identical(monkeypatch, n, g):
-    # the matrices the dense oracle solves: the photon chain's two mirror sectors, then
-    # every mode with its atom in one 2N matrix whose rounds after round 0 all skip
+    # the matrices the dense oracle solves: the photon chain's two mirror sectors; every
+    # mode with its atom takes one rotation and no solve
     seen = []
 
     def record(a):
@@ -124,9 +124,33 @@ def test_dense_oracle_solves_bit_identical(monkeypatch, n, g):
 
     monkeypatch.setattr(dynamics, "jacobi_eigh", record)
     DenseOraclePropagator(build_hamiltonian(ModelParams(n, coupling=g)))
-    assert [len(m) for m in seen] == [(n + 1) // 2, n // 2, 2 * n]
+    assert [len(m) for m in seen] == [(n + 1) // 2, n // 2]
     for m in seen:
         assert_same_bits_without_warnings(m)
+
+
+@pytest.mark.parametrize("n, model", [
+    (96, dict(coupling=1.0)), (47, dict(coupling=1.5)), (12, dict(coupling=1.3e8)),
+    (41, dict(coupling=1e-3)), (16, dict(coupling=1.0)), (3, dict(coupling=1.0, cavity_freq=-0.0)),
+    (9, dict(coupling=1.3, atom_freq=0.37, cavity_freq=-0.2)), (2, dict(coupling=0.0)),
+], ids=str)
+def test_dense_oracle_rotations_match_the_seated_pair_solve(n, model):
+    # the earlier oracle solved the N blocks [[lam_k, g], [g, w_a]] as one 2N matrix that
+    # seated mode k at index k and its atom at 2N-1-k, so that round 0 turned them all, and
+    # mapped the vectors back by v @ y[k] and v @ y[~k]; one rotation per block gives the
+    # same bits, up to the order of columns with exactly equal eigenvalues (n = 2, g = 0)
+    h = build_hamiltonian(ModelParams(n, **model))
+    lam, v = dynamics._chain_eigh(h[:n, :n])
+    k = np.arange(n)
+    pairs = np.zeros_like(h)
+    pairs[k, k], pairs[~k, ~k], pairs[k, ~k], pairs[~k, k] = lam, h[n, n], h[n, 0], h[n, 0]
+    w, y = ref.jacobi_eigh(pairs)
+    seated = np.concatenate([v @ y[k], v @ y[~k]])
+    u = DenseOraclePropagator(h).eigenvectors
+    ties = np.split(np.arange(2 * n), np.flatnonzero(np.diff(w)) + 1)
+    assert (len(ties) < 2 * n) == (model["coupling"] == 0.0)
+    for tie in ties:
+        assert sorted(u[:, tie].T.tolist()) == sorted(seated[:, tie].T.tolist())
 
 
 def test_odd_size_with_an_index_sitting_out_bit_identical():
