@@ -13,6 +13,7 @@ error.
 import argparse
 import dataclasses
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -39,6 +40,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # every float spelling is a value, -1e-5 and -inf included; subparsers inherit it
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -61,7 +67,7 @@ def _flag(key) -> str:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="jchsim", description=__doc__.split("\n")[1])
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, help="key=value config file")
@@ -191,25 +197,12 @@ _COMMANDS = {
 }
 
 
-def _joined(argv) -> list:
-    """argv with each flag and its value as one --flag=value: argparse takes -1e-5 for a flag."""
-    args, i = list(argv), 0
-    while i < len(args) - 1:
-        if args[i] in {"--config", *map(_flag, _HELP)}:
-            args[i:i + 2] = [f"{args[i]}={args[i + 1]}"]
-        i += 1
-    return args
-
-
 def cli_main(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_joined(argv))
+        args = parser.parse_args(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 1
-    if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
     run, _, keys = _COMMANDS[args.command]

@@ -99,6 +99,41 @@ def test_a_flag_without_its_value_is_usage_error(capsys):
     assert "expected one argument" in capsys.readouterr().err
 
 
+_FLOAT_VALUES = [  # argv, the flag its error cites
+    (["fig4", "--g-over", "-1e-5"], "--g-over-j"),
+    (["fig4", "--g-over-j", "10", "--scale", "-1e-3"], "--scale-max"),
+    (["evolve", "--t-m", "-1e-3"], "--t-max"),
+    (["evolve", "--t-max", "-inf"], "--t-max"),
+    (["evolve", "--t-max", "-Infinity"], "--t-max"),
+    (["evolve", "--t-max", "-nan"], "--t-max"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", _FLOAT_VALUES,
+                         ids=[" ".join(argv) for argv, _ in _FLOAT_VALUES])
+def test_every_float_spelling_is_a_value_of_a_full_or_abbreviated_flag(tmp_path, capsys,
+                                                                        argv, flag):
+    # the abbreviated flags exited 1 with "expected one argument" for a negative value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 11\ng = 0.5\n")
+    out = tmp_path / "r"
+    assert cli_main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_other_text_starting_with_a_dash_needs_flag_equals_value(tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 7\n")
+    assert cli_main(["modes", "--config", str(cfg), "--out", "-dir"]) == 1
+    assert "expected one argument" in capsys.readouterr().err
+    assert [*tmp_path.iterdir()] == [cfg]
+    assert cli_main(["modes", "--config", str(cfg), "--out=-dir"]) == 0
+    assert (tmp_path / "-dir" / "modes.csv").exists()
+
+
 def test_unwritable_out_is_runtime_error(tmp_path, capsys):
     blocker = tmp_path / "out"
     blocker.write_text("")

@@ -25,7 +25,8 @@ from jchsim.dynamics import (
     weak_table,
 )
 from jchsim.linalg import _rayleigh_refine, jacobi_eigh
-from jchsim.model import ModelParams, build_hamiltonian, initial_atomic_excitation, max_energy
+from jchsim.model import (MAX_ENERGY_TIME, ModelParams, build_hamiltonian, initial_atomic_excitation,
+                          max_energy)
 from jchsim.spectral import mode_table
 
 
@@ -594,6 +595,18 @@ def test_both_methods_stay_within_1e_10_of_a_50_digit_solve_at_the_time_bound():
     assert abs(dense - analytic) < 1e-10
     assert abs(analytic - exact) < 1e-10
     assert abs(dense - exact) <= 1e-12
+
+
+def test_analytic_stays_within_1e_10_of_dense_at_the_worst_point_of_the_bound_scan():
+    # the largest gap of a scan over t in [1e5, 1e6] / max|E|, n = 4, 7, 12, 24 and
+    # g/J = 10^0..10^8: 9.2e-11 at max|E| * t = 1.0e6, all of it analytic's (a 50-digit
+    # solve puts dense 2.6e-14 off)
+    params = ModelParams(7, coupling=8618720.531229887)
+    t = 0.11597305312531668
+    assert max_energy(params) * t <= MAX_ENERGY_TIME
+    analytic = _pi_a(AnalyticPropagator(params), params, 4, t)
+    dense = _pi_a(make_propagator("dense", params), params, 4, t)
+    assert abs(analytic - dense) < 1e-10
 
 
 def test_dense_stays_within_1e_12_of_a_50_digit_solve_detuned_at_the_time_bound():
