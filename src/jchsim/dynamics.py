@@ -13,10 +13,10 @@ each with its own mode table:
   chains; meaningful when g dominates the free-field bandwidth and the atomic
   frequency.
 * DenseOraclePropagator -- exact, via Jacobi from the entries of the Hamiltonian
-  matrix: the photon block (per mirror sector when it equals its mirror exactly)
-  and one rotation per mode-atom pair, or the whole matrix when its other blocks
-  are not exactly g I and w_a I.  It shares no formulas with the analytic path
-  beyond ``evolution_phases`` and accepts any symmetric photon-hopping matrix.
+  matrix alone, sharing no formulas with the analytic path beyond ``evolution_phases``.
+  Its constructor picks one of two routes: a mirror-symmetric photon chain beside
+  blocks exactly g I and w_a I (every ``build_hamiltonian`` chain) is solved per
+  mirror sector, then one rotation per mode-atom pair; any other symmetric H whole.
 
 The mode propagators take only the ModelParams and build their own mode table.
 ``validity(method, params)`` says how far an effective one strays from exact.
@@ -56,11 +56,11 @@ class TimeGrid:
         return np.linspace(self.t_start, self.t_end, self.n_samples)
 
 
-def _split(state, n):
+def _state_vector(state, dim):
     state = np.asarray(state, dtype=complex)
-    if state.shape != (2 * n,):
-        raise ValueError(f"expected a length-{2 * n} amplitude vector")
-    return state[:n], state[n:]
+    if state.shape != (dim,):
+        raise ValueError(f"expected a length-{dim} amplitude vector")
+    return state
 
 
 class AnalyticPropagator:
@@ -87,7 +87,7 @@ class AnalyticPropagator:
         """
         m, v = self.modes, self._vectors
         times = np.atleast_1d(t)
-        cf, ca = _split(state, self.params.n_cavities)
+        cf, ca = np.split(_state_vector(state, self.params.dim), 2)
         a = v @ cf
         b = v @ ca
         # branch coordinates per mode, evolved by their eigenphases one branch at a
@@ -104,17 +104,14 @@ class AnalyticPropagator:
 
 
 def _chain_eigh(c: np.ndarray):
-    """Jacobi eigenpairs of a symmetric chain block c, one solve per mirror sector if it has them.
+    """Jacobi eigenpairs of a chain block c equal to its mirror x -> N+1-x, one solve per sector.
 
-    If c equals its mirror x -> N+1-x exactly, seat s of the chain's first half carries
-    (e_s + sign e_m(s)) / sqrt(2) for its partner m(s) in the mirror-even (sign +1) and
-    mirror-odd (sign -1) sectors, and a centre site of odd N, its own partner, carries e_s
-    in the even sector alone.  Otherwise c is solved whole.
+    Seat s of the chain's first half carries (e_s + sign e_m(s)) / sqrt(2) for its partner
+    m(s) in the mirror-even (sign +1) and mirror-odd (sign -1) sectors, and a centre site of
+    odd N, its own partner, carries e_s in the even sector alone; N >= 2 leaves neither empty.
     """
     n = len(c)
     mirror = np.arange(n)[::-1]
-    if n < 2 or not np.array_equal(c, c[np.ix_(mirror, mirror)]):
-        return jacobi_eigh(c)
     values, vectors = [], []
     for seats, sign in ((np.arange((n + 1) // 2), 1.0), (np.arange(n // 2), -1.0)):
         partners = mirror[seats]
@@ -133,28 +130,30 @@ def _chain_eigh(c: np.ndarray):
 
 
 class DenseOraclePropagator:
-    """Exact evolution via Jacobi: the photon chain's eigenpairs, then one rotation per mode.
+    """Exact evolution via Jacobi, by one of two routes that ``__init__`` picks from H alone.
 
-    When H is exactly [[H_c, g I], [g I, w_a I]] (as ``build_hamiltonian`` makes it), it
-    commutes with diag(H_c, H_c): H_c = V diag(lam) V^T is solved alone (by mirror sector
-    when it equals its mirror exactly) and one ``jacobi_rotation`` turns each block
-    [[lam_k, g], [g, w_a]], mapped back by diag(V, V); any other H that passes
-    ``jacobi_eigh``'s checks is solved whole.  The eigenvalues are the vectors' long-double
-    Rayleigh quotients against H (double where the platform's long double is).
+    Chain route, when H is exactly [[H_c, g I], [g I, w_a I]] with N >= 2 and H_c equal to its
+    mirror x -> N+1-x (every ``build_hamiltonian`` chain): H commutes with diag(H_c, H_c), so
+    H_c = V diag(lam) V^T is solved per mirror sector and one ``jacobi_rotation`` turns each
+    block [[lam_k, g], [g, w_a]], mapped back by diag(V, V).  Whole route, for any other H:
+    one ``jacobi_eigh``.  The eigenvalues are the vectors' long-double Rayleigh quotients
+    against H (double where the platform's long double is).
     """
 
     def __init__(self, hamiltonian: np.ndarray):
         h = checked_symmetric(hamiltonian)[0]
         n = len(h) // 2
-        g, w_a, eye = h[n, 0], h[n, n], np.eye(n)
-        if len(h) % 2 or not (np.array_equal(h, h.T) and np.array_equal(h[n:, :n], g * eye)
-                              and np.array_equal(h[n:, n:], w_a * eye)):
-            u = jacobi_eigh(h)[1]
-        else:
-            lam, v = _chain_eigh(h[:n, :n])
+        chain, g, w_a, eye = h[:n, :n], h[n, 0], h[n, n], np.eye(n)
+        # the one structure test: an even size 2N >= 4 and exactly the chain route's blocks
+        if (len(h) == 2 * n >= 4 and np.array_equal(h, h.T)
+                and np.array_equal(chain, chain[::-1, ::-1])
+                and np.array_equal(h[n:, :n], g * eye) and np.array_equal(h[n:, n:], w_a * eye)):
+            lam, v = _chain_eigh(chain)
             with np.errstate(over="ignore"):  # g so small that theta overflows turns by (1, 0)
                 c, s = jacobi_rotation(lam, w_a, g)
             u = np.block([[v * c, v * s], [v * -s, v * c]])
+        else:
+            u = jacobi_eigh(h)[1]
         w = _rayleigh_refine(h, u)
         order = np.argsort(w, kind="stable")
         # take gives C order: evolve's matrix products round by layout
@@ -168,7 +167,7 @@ class DenseOraclePropagator:
         kernels round a subset of the output rows differently.
         """
         u = self.eigenvectors
-        coeffs = u.T @ np.asarray(state, dtype=complex)
+        coeffs = u.T @ _state_vector(state, len(u))
         states = (evolution_phases(self.eigenvalues, t) * coeffs) @ u.T
         return states[..., len(u) // 2:] if atoms_only else states
 

@@ -37,6 +37,32 @@ def test_bad_config_line_number(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["g 0.5", "= 0.5"])
+def test_config_line_without_a_key_and_equals_sign_is_config_error(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 9\n{line}  # comment\n")
+    out = tmp_path / "r"
+    assert cli_main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: line 2: expected 'key = value', got '{line}  # comment'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, flags, source", [
+    ("t_max = 0", [], "line 2"),
+    ("t_max = 10", ["--t-max", "0"], "--t-max"),
+])
+def test_evolve_with_zero_t_max_is_config_error(tmp_path, capsys, line, flags, source):
+    # the plot needs a time axis; a sweep, which draws none, accepts t_max = 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 9\n{line}\n")
+    out = tmp_path / "r"
+    assert cli_main(["evolve", "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert (f"config error: {source}: evolve needs t_max > 0 for its plot"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_bad_pairs_flag_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 9\ng = 0.5\n")

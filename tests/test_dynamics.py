@@ -12,6 +12,7 @@ from effective_reference import (
 )
 from jchsim import dynamics
 from jchsim.dynamics import (
+    METHODS,
     AnalyticPropagator,
     DenseOraclePropagator,
     StrongCouplingPropagator,
@@ -475,12 +476,12 @@ def test_polariton_hamiltonians_are_solved_whole(monkeypatch, n, drop_cross_term
 
 
 @pytest.mark.parametrize("n", [8, 9])
-def test_a_broken_mirror_is_solved_as_one_sector(monkeypatch, n):
+def test_a_broken_mirror_is_solved_whole(monkeypatch, n):
     h = build_hamiltonian(ModelParams(n, coupling=0.7, atom_freq=0.2))
     h[0, 1] = h[1, 0] = -1.1  # one hopping changed
     sizes = _recorded_solves(monkeypatch)
     dense = DenseOraclePropagator(h)
-    assert sizes == [n]  # the photon chain whole; the pairs take one rotation each
+    assert sizes == [2 * n]  # a chain unequal to its mirror fails the chain route's test
     u = dense.eigenvectors
     assert np.abs(u.T @ u - np.eye(2 * n)).max() <= 1e-13
     assert np.abs(dense.eigenvalues - np.linalg.eigh(h)[0]).max() <= 1e-12 * np.linalg.norm(h)
@@ -496,23 +497,67 @@ def test_a_matrix_of_odd_size_is_solved_as_one_sector(monkeypatch):
     assert sizes == [5]
 
 
-@pytest.mark.parametrize("g", [0.0, 0.8, 3e4])
-@pytest.mark.parametrize("n", [5, 12])
-def test_any_photon_block_beside_g_and_w_a_blocks_matches_eigh(monkeypatch, n, g):
-    rng = np.random.default_rng(n)
-    c = rng.standard_normal((n, n))
-    h = np.zeros((2 * n, 2 * n))
-    h[:n, :n] = c + c.T
-    h[:n, n:] = h[n:, :n] = g * np.eye(n)
-    h[n:, n:] = -0.6 * np.eye(n)
+def test_one_cavity_is_solved_whole(monkeypatch):
+    # N = 1 has no mirror-odd sector to solve, so the chain route needs N >= 2
+    h = np.array([[0.3, 0.7], [0.7, -0.2]])
+    whole = jacobi_eigh(h)
     sizes = _recorded_solves(monkeypatch)
     dense = DenseOraclePropagator(h)
-    assert sizes == [n]
+    assert sizes == [2]
+    assert np.array_equal(dense.eigenvalues.astype(float), whole[0])
+    assert np.array_equal(dense.eigenvectors, whole[1])
+
+
+def _assert_matches_eigh(dense, h):
     w, u = dense.eigenvalues, dense.eigenvectors
     scale = np.linalg.norm(h)
     assert np.abs(w - np.linalg.eigh(h)[0]).max() <= 1e-12 * scale
-    assert np.abs(u.T @ u - np.eye(2 * n)).max() <= 1e-12
+    assert np.abs(u.T @ u - np.eye(len(h))).max() <= 1e-12
     assert np.abs(h @ u - u * w).max() <= 1e-12 * scale
+
+
+def _beside_g_and_w_a_blocks(c, g):
+    """[[c, g I], [g I, -0.6 I]] for a symmetric photon block c."""
+    n = len(c)
+    h = np.zeros((2 * n, 2 * n))
+    h[:n, :n] = c
+    h[:n, n:] = h[n:, :n] = g * np.eye(n)
+    h[n:, n:] = -0.6 * np.eye(n)
+    return h
+
+
+@pytest.mark.parametrize("g", [0.0, 0.8, 3e4])
+@pytest.mark.parametrize("n", [5, 12])
+def test_any_photon_block_beside_g_and_w_a_blocks_matches_eigh(monkeypatch, n, g):
+    c = np.random.default_rng(n).standard_normal((n, n))
+    h = _beside_g_and_w_a_blocks(c + c.T, g)
+    sizes = _recorded_solves(monkeypatch)
+    dense = DenseOraclePropagator(h)
+    assert sizes == [2 * n]  # a random block is not its own mirror: one whole solve
+    _assert_matches_eigh(dense, h)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.8, 3e4])
+@pytest.mark.parametrize("n", [5, 12])
+def test_any_photon_block_equal_to_its_mirror_takes_the_chain_route(monkeypatch, n, g):
+    # a full symmetric block, not a chain: the route needs only the mirror and the blocks
+    c = np.random.default_rng(n).standard_normal((n, n))
+    c = c + c.T
+    h = _beside_g_and_w_a_blocks(c + c[::-1, ::-1], g)
+    sizes = _recorded_solves(monkeypatch)
+    dense = DenseOraclePropagator(h)
+    assert sizes == [(n + 1) // 2, n // 2]
+    _assert_matches_eigh(dense, h)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+@pytest.mark.parametrize("shape", [(7,), (9,), (1, 8)], ids=str)
+def test_evolve_refuses_a_state_of_the_wrong_shape(method, shape):
+    # every method refuses it with one message, before any product
+    prop = make_propagator(method, ModelParams(4, coupling=0.5))
+    for atoms_only in (False, True):
+        with pytest.raises(ValueError, match="^expected a length-8 amplitude vector$"):
+            prop.evolve(np.ones(shape), 1.0, atoms_only)
 
 
 @pytest.mark.parametrize("h", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import svg_reference as ref
-from jchsim.svg import ramp_colors, render_heatmap_svg, render_lines_svg
+from jchsim.svg import _tick_positions, ramp_colors, render_heatmap_svg, render_lines_svg
 
 
 def test_ramp_endpoints_and_clipping():
@@ -94,13 +94,23 @@ def _assert_heatmap_bytes(tmp_path, values, **kwargs):
     assert new.read_bytes() == old.read_bytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 10, 11, 101, 201])
+@pytest.mark.parametrize("n", [1, 2, 7, 10, 11, 12, 101, 201])
 def test_heatmap_bytes_match_etree_reference(tmp_path, n):
     rng = np.random.default_rng(n)
     values = rng.uniform(-0.1, 0.4, size=(n, n))  # below 0 and above scale_max
     special = [np.inf, -np.inf, 0.125, 0.0, 0.25]  # 0.125 = 0.5 * scale_max
     values.flat[:len(special)] = special[:n * n]
     _assert_heatmap_bytes(tmp_path, values, title=f"N = {n}")
+
+
+@pytest.mark.parametrize("n, ticks", [
+    (10, list(range(1, 11))),
+    (11, [1, 3, 5, 7, 9, 11]),
+    (12, [1, 3, 5, 7, 9, 11, 12]),  # the step skips N, which is appended
+    (201, [1, 41, 81, 121, 161, 201]),
+])
+def test_tick_labels_start_at_1_and_end_at_n(n, ticks):
+    assert _tick_positions(n) == ticks
 
 
 @pytest.mark.parametrize("scale_max, title", [
