@@ -23,8 +23,9 @@ The mode propagators take only the ModelParams and build their own mode table.
 All propagators are immutable after construction and expose
 ``evolve(state, t, atoms_only=False)``: shape (2N,) for a scalar t, (len(t), 2N)
 for an array of times; with ``atoms_only`` only the N atomic amplitudes, shape
-(N,) or (len(t), N), bit for bit the last N columns of the full result.  The
-exact ones are unitary to machine precision.
+(N,) or (len(t), N).  Each forms the photon half only for the full state, so the
+atomic half is the same product either way, bit for bit.  The exact ones are
+unitary to machine precision.
 """
 
 from dataclasses import dataclass, replace
@@ -86,21 +87,17 @@ class AnalyticPropagator:
         With ``atoms_only`` only the atomic half comes back, shape (N,) or (len(t), N).
         """
         m, v = self.modes, self._vectors
-        times = np.atleast_1d(t)
         cf, ca = np.split(_state_vector(state, self.params.dim), 2)
         a = v @ cf
         b = v @ ca
         # branch coordinates per mode, evolved by their eigenphases one branch at a
         # time, so that only one (len(t), N) phase table is alive at once
         coords = m.a * a + m.b * b
-        p = [coords[s] * evolution_phases(m.eps[s], times) for s in (0, 1)]
-        b_t = m.b[0] * p[0] + m.b[1] * p[1]
+        p = [coords[s] * evolution_phases(m.eps[s], t) for s in (0, 1)]
+        atoms = (m.b[0] * p[0] + m.b[1] * p[1]) @ v
         if atoms_only:
-            states = b_t @ v
-        else:
-            a_t = m.a[0] * p[0] + m.a[1] * p[1]
-            states = np.concatenate([a_t @ v, b_t @ v], axis=1)
-        return states[0] if np.ndim(t) == 0 else states
+            return atoms
+        return np.concatenate([(m.a[0] * p[0] + m.a[1] * p[1]) @ v, atoms], axis=-1)
 
 
 def _chain_eigh(c: np.ndarray):
@@ -162,14 +159,13 @@ class DenseOraclePropagator:
     def evolve(self, state: np.ndarray, t, atoms_only: bool = False) -> np.ndarray:
         """State at time t, shape (2N,); for an array of times, shape (len(t), 2N).
 
-        With ``atoms_only`` only the atomic half comes back, shape (N,) or (len(t), N);
-        it is sliced from the full product, since a scalar t takes gemv, whose
-        kernels round a subset of the output rows differently.
+        With ``atoms_only`` only the atomic half comes back, shape (N,) or (len(t), N).
         """
         u = self.eigenvectors
-        coeffs = u.T @ _state_vector(state, len(u))
-        states = (evolution_phases(self.eigenvalues, t) * coeffs) @ u.T
-        return states[..., len(u) // 2:] if atoms_only else states
+        n = len(u) // 2
+        mixed = evolution_phases(self.eigenvalues, t) * (u.T @ _state_vector(state, len(u)))
+        atoms = mixed @ u[n:].T
+        return atoms if atoms_only else np.concatenate([mixed @ u[:n].T, atoms], axis=-1)
 
 
 def resonant_mode(modes: ModeTable) -> int:

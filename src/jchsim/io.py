@@ -159,19 +159,15 @@ def validate(cfg: RunConfig):
             names.add(f"{x:g}")
 
 
-def fmt(x) -> str:
-    """Render a float with 17 significant digits (lossless round trip)."""
-    return format(float(x), ".17g")
-
-
 def write_csv(path, header, columns):
     """Write equal-length ``columns`` under ``header`` as one CSV file.
 
-    Numbers are rendered as ``fmt`` renders them, through one ``%.17g``
-    template per row, so an integer-valued float such as a site label prints
-    as an integer and NaN as ``nan``; a column of strings is written as
-    given.  Raises ValueError before the file is opened when the header does
-    not name every column, the columns differ in length or they are empty.
+    Numbers are rendered with 17 significant digits (a lossless round trip)
+    through one ``%.17g`` template per row, so an integer-valued float such as
+    a site label prints as an integer and NaN as ``nan``; a column of strings
+    is written as given.  Raises ValueError before the file is opened when the
+    header does not name every column, the columns differ in length or they
+    are empty.
     """
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} header fields for {len(columns)} columns")
@@ -179,7 +175,6 @@ def write_csv(path, header, columns):
     if len(lengths) != 1 or 0 in lengths:
         raise ValueError(f"columns must be equal in length and non-empty, got {sorted(lengths)}")
     values = [np.asarray(column).tolist() for column in columns]
-    # one template per row: "%.17g" renders a number exactly as fmt does
     template = ",".join("%s" if isinstance(v[0], str) else "%.17g" for v in values)
     rows = [",".join(header), *(template % row for row in zip(*values))]
     with open(path, "w", encoding="utf-8") as fh:
@@ -194,7 +189,7 @@ def write_series_csv(series, path):
 
 def write_map_csv(values, path):
     """N x N concurrence map as CSV: the 1-based site, then one column per site."""
-    # each distinct bit pattern (-0.0 and 0.0 differ) is formatted once, as fmt does
+    # each distinct bit pattern (-0.0 and 0.0 differ) is formatted once, with write_csv's %.17g
     bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
     text = np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)
     sites = np.arange(1, len(values) + 1)
