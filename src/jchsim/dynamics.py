@@ -12,13 +12,12 @@ each with its own mode table:
 * StrongCouplingPropagator -- the table ``strong_table``: decoupled polariton
   chains; meaningful when g dominates the free-field bandwidth and the atomic
   frequency.
-* DenseOraclePropagator -- exact, via Jacobi from the entries of the Hamiltonian
-  matrix alone, sharing no formulas with the analytic path beyond ``evolution_phases``.
-  Its constructor picks one of two routes: a mirror-symmetric photon chain beside
-  blocks exactly g I and w_a I (every ``build_hamiltonian`` chain) is solved per
-  mirror sector, then one rotation per mode-atom pair; any other symmetric H whole.
+* DenseOraclePropagator -- exact, via Jacobi from the entries of ``build_hamiltonian``'s
+  matrix, sharing no formulas with the analytic path beyond ``evolution_phases``: the
+  photon chain is solved per mirror sector, then one rotation per mode-atom pair.
 
-The mode propagators take only the ModelParams and build their own mode table.
+Every propagator takes only the ModelParams; the mode propagators build their own mode
+table and the dense oracle its own Hamiltonian.
 ``validity(method, params)`` says how far an effective one strays from exact.
 All propagators are immutable after construction and expose
 ``evolve(state, t, atoms_only=False)``: shape (2N,) for a scalar t, (len(t), 2N)
@@ -32,8 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (_rayleigh_refine, checked_symmetric, evolution_phases, jacobi_eigh,
-                     jacobi_rotation)
+from .linalg import _rayleigh_refine, evolution_phases, jacobi_eigh, jacobi_rotation
 from .model import ModelParams, build_hamiltonian
 from .spectral import BRANCH_SIGNS, ModeTable, mode_table, sine_modes
 
@@ -127,30 +125,22 @@ def _chain_eigh(c: np.ndarray):
 
 
 class DenseOraclePropagator:
-    """Exact evolution via Jacobi, by one of two routes that ``__init__`` picks from H alone.
+    """Exact evolution via Jacobi from the entries of H = ``build_hamiltonian(params)``.
 
-    Chain route, when H is exactly [[H_c, g I], [g I, w_a I]] with N >= 2 and H_c equal to its
-    mirror x -> N+1-x (every ``build_hamiltonian`` chain): H commutes with diag(H_c, H_c), so
-    H_c = V diag(lam) V^T is solved per mirror sector and one ``jacobi_rotation`` turns each
-    block [[lam_k, g], [g, w_a]], mapped back by diag(V, V).  Whole route, for any other H:
-    one ``jacobi_eigh``.  The eigenvalues are the vectors' long-double Rayleigh quotients
-    against H (double where the platform's long double is).
+    H is [[H_c, g I], [g I, w_a I]] with H_c equal to its mirror x -> N+1-x, so it commutes
+    with diag(H_c, H_c): H_c = V diag(lam) V^T is solved per mirror sector and one
+    ``jacobi_rotation`` turns each block [[lam_k, g], [g, w_a]], mapped back by diag(V, V).
+    The eigenvalues are the vectors' long-double Rayleigh quotients against H (double where
+    the platform's long double is).
     """
 
-    def __init__(self, hamiltonian: np.ndarray):
-        h = checked_symmetric(hamiltonian)[0]
-        n = len(h) // 2
-        chain, g, w_a, eye = h[:n, :n], h[n, 0], h[n, n], np.eye(n)
-        # the one structure test: an even size 2N >= 4 and exactly the chain route's blocks
-        if (len(h) == 2 * n >= 4 and np.array_equal(h, h.T)
-                and np.array_equal(chain, chain[::-1, ::-1])
-                and np.array_equal(h[n:, :n], g * eye) and np.array_equal(h[n:, n:], w_a * eye)):
-            lam, v = _chain_eigh(chain)
-            with np.errstate(over="ignore"):  # g so small that theta overflows turns by (1, 0)
-                c, s = jacobi_rotation(lam, w_a, g)
-            u = np.block([[v * c, v * s], [v * -s, v * c]])
-        else:
-            u = jacobi_eigh(h)[1]
+    def __init__(self, params: ModelParams):
+        self.params = params
+        h, n = build_hamiltonian(params), params.n_cavities
+        lam, v = _chain_eigh(h[:n, :n])
+        with np.errstate(over="ignore"):  # g so small that theta overflows turns by (1, 0)
+            c, s = jacobi_rotation(lam, h[n, n], h[n, 0])
+        u = np.block([[v * c, v * s], [v * -s, v * c]])
         w = _rayleigh_refine(h, u)
         order = np.argsort(w, kind="stable")
         # take gives C order: evolve's matrix products round by layout
@@ -161,9 +151,9 @@ class DenseOraclePropagator:
 
         With ``atoms_only`` only the atomic half comes back, shape (N,) or (len(t), N).
         """
-        u = self.eigenvectors
-        n = len(u) // 2
-        mixed = evolution_phases(self.eigenvalues, t) * (u.T @ _state_vector(state, len(u)))
+        u, n = self.eigenvectors, self.params.n_cavities
+        state = _state_vector(state, self.params.dim)
+        mixed = evolution_phases(self.eigenvalues, t) * (u.T @ state)
         atoms = mixed @ u[n:].T
         return atoms if atoms_only else np.concatenate([mixed @ u[:n].T, atoms], axis=-1)
 
@@ -206,10 +196,10 @@ class StrongCouplingPropagator(AnalyticPropagator):
     table = staticmethod(strong_table)
 
 
-# every propagation method by name, with the constructor that builds it from ModelParams
+# every propagation method by name, with the class that builds it from ModelParams
 METHODS = {
     "analytic": AnalyticPropagator,
-    "dense": lambda params: DenseOraclePropagator(build_hamiltonian(params)),
+    "dense": DenseOraclePropagator,
     "weak": WeakCouplingPropagator,
     "strong": StrongCouplingPropagator,
 }

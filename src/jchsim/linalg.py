@@ -4,9 +4,10 @@ One solver lives here so that the oracle paths do not share code with the
 closed-form physics they are meant to check: a Jacobi eigensolver for real
 symmetric matrices in round-robin (parallel) order, each round of disjoint
 rotations one in-place update x <- c x + s x[partner] per axis.  It serves both
-oracles: the dense propagator diagonalizes the Hamiltonian with it, and the
-Wootters concurrence takes the eigenvalues of Hermitian 4x4 matrices through
-their real symmetric 8x8 forms.
+oracles: the dense propagator solves the photon chain's two mirror sectors with
+it and turns each mode-atom pair by one ``jacobi_rotation``, and the Wootters
+concurrence takes the eigenvalues of Hermitian 4x4 matrices through their real
+symmetric 8x8 forms.
 
 It calls no LAPACK eigen-routine (``numpy.linalg.eig*``): the oracles are
 meant to stay independent of the library solvers they may be compared with.
@@ -23,25 +24,6 @@ class ConvergenceError(RuntimeError):
 
 _JACOBI_TOL = 1e-13
 _JACOBI_MAX_SWEEPS = 100
-
-
-def checked_symmetric(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """(a as a float array, its Frobenius norm), or the ValueError ``jacobi_eigh`` refuses a with."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    if a.size == 0:
-        raise ValueError("expected a nonempty matrix, got shape (0, 0)")
-    with np.errstate(over="ignore"):
-        scale = np.linalg.norm(a)
-    if not np.isfinite(scale):
-        raise ValueError(f"matrix norm is {scale}: entries must be finite and below 1e154")
-    if scale == 0.0 and a.any():
-        raise ValueError("matrix norm underflows to 0 for a nonzero matrix: "
-                         "its largest entry must be at least about 1.6e-162")
-    if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise ValueError("matrix is not symmetric")
-    return a, scale
 
 
 def jacobi_eigh(a: np.ndarray):
@@ -66,8 +48,21 @@ def jacobi_eigh(a: np.ndarray):
     unrotated), and ConvergenceError if ``_JACOBI_MAX_SWEEPS`` sweeps do not
     converge.
     """
-    original, scale = checked_symmetric(a)
-    a = original.copy()
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix")
+    if a.size == 0:
+        raise ValueError("expected a nonempty matrix, got shape (0, 0)")
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(a)
+    if not np.isfinite(scale):
+        raise ValueError(f"matrix norm is {scale}: entries must be finite and below 1e154")
+    if scale == 0.0 and a.any():
+        raise ValueError("matrix norm underflows to 0 for a nonzero matrix: "
+                         "its largest entry must be at least about 1.6e-162")
+    if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
+        raise ValueError("matrix is not symmetric")
+    original, a = a, a.copy()
     n = a.shape[0]
     # rotations with |a_pq| below this cannot affect the converged result
     skip = 0.01 * _JACOBI_TOL * scale / n

@@ -45,7 +45,7 @@ def test_criterion_1_propagator_equivalence():
         params = ModelParams(n, coupling=g, atom_freq=omega_a)
         state0 = random_state(rng, 2 * n)
         a = AnalyticPropagator(params).evolve(state0, t)
-        d = DenseOraclePropagator(build_hamiltonian(params)).evolve(state0, t)
+        d = DenseOraclePropagator(params).evolve(state0, t)
         worst = max(worst, float(np.abs(a - d).max()))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 30.0
@@ -243,7 +243,7 @@ def test_criterion_8_invariant_suite():
     params = ModelParams(17, coupling=0.9, atom_freq=0.25)
     h = build_hamiltonian(params)
     analytic = AnalyticPropagator(params)
-    dense = DenseOraclePropagator(h)
+    dense = DenseOraclePropagator(params)
     state0 = initial_atomic_excitation(params, 9)
     e0 = np.vdot(state0, h @ state0).real
 

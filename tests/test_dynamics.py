@@ -25,6 +25,7 @@ from jchsim.dynamics import (
     validity,
     weak_table,
 )
+from jchsim.entanglement import pair_concurrence
 from jchsim.linalg import _rayleigh_refine, evolution_phases, jacobi_eigh
 from jchsim.model import (MAX_ENERGY_TIME, ModelParams, build_hamiltonian, initial_atomic_excitation,
                           max_energy)
@@ -54,7 +55,7 @@ def test_analytic_identity_at_t0():
 def test_analytic_matches_dense():
     params = ModelParams(5, coupling=0.7)
     analytic = AnalyticPropagator(params)
-    dense = DenseOraclePropagator(build_hamiltonian(params))
+    dense = DenseOraclePropagator(params)
     state0 = initial_atomic_excitation(params, 2)
     t = 3.1
     assert np.abs(analytic.evolve(state0, t) - dense.evolve(state0, t)).max() <= 1e-10
@@ -62,7 +63,7 @@ def test_analytic_matches_dense():
 
 def test_dense_identity_at_t0():
     params = ModelParams(4, coupling=1.2, atom_freq=0.5)
-    dense = DenseOraclePropagator(build_hamiltonian(params))
+    dense = DenseOraclePropagator(params)
     state0 = initial_atomic_excitation(params, 1)
     assert np.abs(dense.evolve(state0, 0.0) - state0).max() <= 1e-12
 
@@ -70,7 +71,7 @@ def test_dense_identity_at_t0():
 def test_two_site_photon_hopping():
     # decoupled two-site photon: full transfer at t = pi/2 over hopping 1
     params = ModelParams(2, hopping=1.0, coupling=0.0)
-    dense = DenseOraclePropagator(build_hamiltonian(params))
+    dense = DenseOraclePropagator(params)
     state0 = np.zeros(4, dtype=complex)
     state0[0] = 1.0
     state = dense.evolve(state0, np.pi / 2)
@@ -80,7 +81,7 @@ def test_two_site_photon_hopping():
 def test_unitarity():
     rng = np.random.default_rng(0)
     params = ModelParams(9, coupling=2.5, atom_freq=0.4)
-    props = [AnalyticPropagator(params), DenseOraclePropagator(build_hamiltonian(params))]
+    props = [AnalyticPropagator(params), DenseOraclePropagator(params)]
     state0 = initial_atomic_excitation(params, 5)
     for prop in props:
         for t in rng.uniform(0.0, 50.0, size=10):
@@ -134,7 +135,7 @@ def test_evolve_series_matches_oracle():
     grid = TimeGrid(0.0, 30.0, 64)
     state0 = initial_atomic_excitation(params, 8)
     a = evolve_series(state0, grid, AnalyticPropagator(params))
-    d = evolve_series(state0, grid, DenseOraclePropagator(build_hamiltonian(params)))
+    d = evolve_series(state0, grid, DenseOraclePropagator(params))
     assert np.abs(a - d).max() <= 1e-10
     assert np.abs(np.linalg.norm(a, axis=1) - 1.0).max() <= 1e-10
 
@@ -260,21 +261,23 @@ def test_polariton_decoupled_spectrum():
 def test_polariton_branches_stay_decoupled():
     params = ModelParams(8, coupling=3.0)
     h = build_polariton_hamiltonian(params, drop_cross_terms=True)
-    prop = DenseOraclePropagator(h)
+    w, u = jacobi_eigh(h)
     state0 = np.zeros(16, dtype=complex)
     state0[3] = 1.0  # one |+_x> polariton
     for t in (0.5, 4.0, 12.0):
-        state = prop.evolve(state0, t)
+        state = u @ (evolution_phases(w, t) * (u.T @ state0))
         assert np.abs(state[8:]).max() <= 1e-12
 
 
 def test_make_propagator_dispatch():
     params = ModelParams(9, coupling=0.5)
-    assert type(make_propagator("analytic", params)) is AnalyticPropagator
-    assert type(make_propagator("dense", params)) is DenseOraclePropagator
-    weak = make_propagator("weak", params)
-    assert type(weak) is WeakCouplingPropagator and resonant_mode(weak.modes) == 5
-    assert type(make_propagator("strong", params)) is StrongCouplingPropagator
+    assert METHODS == {"analytic": AnalyticPropagator, "dense": DenseOraclePropagator,
+                       "weak": WeakCouplingPropagator, "strong": StrongCouplingPropagator}
+    for name, cls in METHODS.items():
+        assert isinstance(cls, type) and list(inspect.signature(cls).parameters) == ["params"]
+        prop = make_propagator(name, params)
+        assert type(prop) is cls and prop.params is params
+    assert resonant_mode(make_propagator("weak", params).modes) == 5
     with pytest.raises(ValueError):
         make_propagator("magic", params)
 
@@ -404,16 +407,13 @@ def test_dense_atoms_of_a_time_chunk_are_the_atomic_columns_of_the_full_product(
     assert np.array_equal(prop.evolve(state0, times, atoms_only=True), full[:, n:])
 
 
-def _dense_refusal(h) -> str:
-    """The message DenseOraclePropagator(h) raises: jacobi_eigh's own, with no warning first."""
-    with pytest.raises(ValueError) as direct:
-        jacobi_eigh(h)
+def _jacobi_refusal(h) -> str:
+    """The message jacobi_eigh(h) raises, with no warning first."""
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the mirror test and sector sums follow the checks
-        with pytest.raises(ValueError) as dense:
-            DenseOraclePropagator(h)
-    assert str(dense.value) == str(direct.value)
-    return str(dense.value)
+        warnings.simplefilter("error")  # an overflowing norm must not warn before the refusal
+        with pytest.raises(ValueError) as refusal:
+            jacobi_eigh(h)
+    return str(refusal.value)
 
 
 @pytest.mark.parametrize("size", [1.3e154, 1e160, 1e300, np.inf])
@@ -421,7 +421,7 @@ def test_jacobi_refuses_a_matrix_whose_norm_overflows(size):
     # an overflowing norm made the convergence test pass before any rotation
     h = build_hamiltonian(ModelParams(5, coupling=1.0))
     h[h != 0] *= size
-    assert "norm" in _dense_refusal(h)
+    assert "norm" in _jacobi_refusal(h)
 
 
 @pytest.mark.parametrize("size", [1e-200, 1.5e-162, 5e-324])
@@ -429,7 +429,7 @@ def test_jacobi_refuses_a_nonzero_matrix_whose_norm_underflows(size):
     # an underflowing norm would pass the convergence test before any rotation: identity vectors
     h = build_hamiltonian(ModelParams(5, coupling=1.0))
     h[h != 0] *= size
-    assert "underflows" in _dense_refusal(h)
+    assert "underflows" in _jacobi_refusal(h)
     # entries of about 2.4e-150, just above 1 / MAX_ENERGY, still solve exactly
     h = build_hamiltonian(ModelParams(5, coupling=1.0))
     assert np.array_equal(jacobi_eigh(h * 2.0**-498)[0], jacobi_eigh(h)[0] * 2.0**-498)
@@ -437,7 +437,7 @@ def test_jacobi_refuses_a_nonzero_matrix_whose_norm_underflows(size):
 
 def test_jacobi_refuses_an_empty_matrix_before_any_reduction():
     # a 0 x 0 matrix once died inside numpy: "zero-size array to reduction operation maximum"
-    assert _dense_refusal(np.zeros((0, 0))) == "expected a nonempty matrix, got shape (0, 0)"
+    assert _jacobi_refusal(np.zeros((0, 0))) == "expected a nonempty matrix, got shape (0, 0)"
 
 
 def test_jacobi_still_solves_entries_just_below_the_overflow():
@@ -467,7 +467,7 @@ def test_dense_sectors_match_one_full_solve(monkeypatch, n, omega_c):
     params = ModelParams(n, coupling=1.3, cavity_freq=omega_c, atom_freq=0.37)
     h = build_hamiltonian(params)
     sizes = _recorded_solves(monkeypatch)
-    dense = DenseOraclePropagator(h)
+    dense = DenseOraclePropagator(params)
     # the chain's two mirror sectors (the even one holds the centre site of an odd N);
     # every mode with its atom is one rotation, not a solve
     assert sizes == [(n + 1) // 2, n // 2]
@@ -478,94 +478,17 @@ def test_dense_sectors_match_one_full_solve(monkeypatch, n, omega_c):
     assert np.abs(h @ u - u * w).max() <= 1e-12 * np.linalg.norm(h)
 
 
-@pytest.mark.parametrize("drop_cross_terms", [False, True])
-@pytest.mark.parametrize("n", [8, 9])
-def test_polariton_hamiltonians_are_solved_whole(monkeypatch, n, drop_cross_terms):
-    # their atom block is a chain, not w_a I, so they have no photon-chain split
-    params = ModelParams(n, coupling=2.0, cavity_freq=0.3, atom_freq=-0.1)
-    h = build_polariton_hamiltonian(params, drop_cross_terms)
-    whole = jacobi_eigh(h)
-    sizes = _recorded_solves(monkeypatch)
-    dense = DenseOraclePropagator(h)
-    assert sizes == [2 * n]
-    assert np.array_equal(dense.eigenvalues.astype(float), whole[0])
-    assert np.array_equal(dense.eigenvectors, whole[1])
-    assert np.abs(dense.eigenvalues - np.linalg.eigh(h)[0]).max() <= 1e-12 * np.linalg.norm(h)
-
-
-@pytest.mark.parametrize("n", [8, 9])
-def test_a_broken_mirror_is_solved_whole(monkeypatch, n):
-    h = build_hamiltonian(ModelParams(n, coupling=0.7, atom_freq=0.2))
-    h[0, 1] = h[1, 0] = -1.1  # one hopping changed
-    sizes = _recorded_solves(monkeypatch)
-    dense = DenseOraclePropagator(h)
-    assert sizes == [2 * n]  # a chain unequal to its mirror fails the chain route's test
-    u = dense.eigenvectors
-    assert np.abs(u.T @ u - np.eye(2 * n)).max() <= 1e-13
-    assert np.abs(dense.eigenvalues - np.linalg.eigh(h)[0]).max() <= 1e-12 * np.linalg.norm(h)
-
-
-def test_a_matrix_of_odd_size_is_solved_as_one_sector(monkeypatch):
-    h = np.diag([1.0, -2.0, 0.5, 3.0, 1.0]) + np.diag([0.3] * 4, 1) + np.diag([0.3] * 4, -1)
-    whole = jacobi_eigh(h)
-    sizes = _recorded_solves(monkeypatch)
-    dense = DenseOraclePropagator(h)
-    assert np.array_equal(dense.eigenvalues.astype(float), whole[0])
-    assert np.array_equal(dense.eigenvectors, whole[1])
-    assert sizes == [5]
-
-
-def test_one_cavity_is_solved_whole(monkeypatch):
-    # N = 1 has no mirror-odd sector to solve, so the chain route needs N >= 2
-    h = np.array([[0.3, 0.7], [0.7, -0.2]])
-    whole = jacobi_eigh(h)
-    sizes = _recorded_solves(monkeypatch)
-    dense = DenseOraclePropagator(h)
-    assert sizes == [2]
-    assert np.array_equal(dense.eigenvalues.astype(float), whole[0])
-    assert np.array_equal(dense.eigenvectors, whole[1])
-
-
-def _assert_matches_eigh(dense, h):
-    w, u = dense.eigenvalues, dense.eigenvectors
-    scale = np.linalg.norm(h)
-    assert np.abs(w - np.linalg.eigh(h)[0]).max() <= 1e-12 * scale
-    assert np.abs(u.T @ u - np.eye(len(h))).max() <= 1e-12
-    assert np.abs(h @ u - u * w).max() <= 1e-12 * scale
-
-
-def _beside_g_and_w_a_blocks(c, g):
-    """[[c, g I], [g I, -0.6 I]] for a symmetric photon block c."""
-    n = len(c)
-    h = np.zeros((2 * n, 2 * n))
-    h[:n, :n] = c
-    h[:n, n:] = h[n:, :n] = g * np.eye(n)
-    h[n:, n:] = -0.6 * np.eye(n)
-    return h
-
-
-@pytest.mark.parametrize("g", [0.0, 0.8, 3e4])
 @pytest.mark.parametrize("n", [5, 12])
-def test_any_photon_block_beside_g_and_w_a_blocks_matches_eigh(monkeypatch, n, g):
-    c = np.random.default_rng(n).standard_normal((n, n))
-    h = _beside_g_and_w_a_blocks(c + c.T, g)
-    sizes = _recorded_solves(monkeypatch)
-    dense = DenseOraclePropagator(h)
-    assert sizes == [2 * n]  # a random block is not its own mirror: one whole solve
-    _assert_matches_eigh(dense, h)
-
-
-@pytest.mark.parametrize("g", [0.0, 0.8, 3e4])
-@pytest.mark.parametrize("n", [5, 12])
-def test_any_photon_block_equal_to_its_mirror_takes_the_chain_route(monkeypatch, n, g):
-    # a full symmetric block, not a chain: the route needs only the mirror and the blocks
+def test_chain_eigh_of_a_full_block_equal_to_its_mirror_matches_eigh(n):
+    # a full symmetric block, not a chain: the sector split needs only the mirror symmetry
     c = np.random.default_rng(n).standard_normal((n, n))
     c = c + c.T
-    h = _beside_g_and_w_a_blocks(c + c[::-1, ::-1], g)
-    sizes = _recorded_solves(monkeypatch)
-    dense = DenseOraclePropagator(h)
-    assert sizes == [(n + 1) // 2, n // 2]
-    _assert_matches_eigh(dense, h)
+    c = c + c[::-1, ::-1]
+    lam, v = dynamics._chain_eigh(c)
+    scale = np.linalg.norm(c)
+    assert np.abs(np.sort(lam) - np.linalg.eigh(c)[0]).max() <= 1e-12 * scale
+    assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-12
+    assert np.abs(c @ v - v * lam).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))
@@ -578,12 +501,12 @@ def test_evolve_refuses_a_state_of_the_wrong_shape(method, shape):
             prop.evolve(np.ones(shape), 1.0, atoms_only)
 
 
-@pytest.mark.parametrize("h", [
-    pytest.param(build_hamiltonian(ModelParams(9, coupling=1.3, atom_freq=0.37)), id="pairs"),
-    pytest.param(build_polariton_hamiltonian(ModelParams(8, coupling=2.0), False), id="whole"),
+@pytest.mark.parametrize("params", [
+    pytest.param(ModelParams(9, coupling=1.3, atom_freq=0.37), id="pairs"),
 ])
-def test_dense_eigenvalues_are_long_double_rayleigh_quotients(h):
-    dense = DenseOraclePropagator(h)
+def test_dense_eigenvalues_are_long_double_rayleigh_quotients(params):
+    h = build_hamiltonian(params)
+    dense = DenseOraclePropagator(params)
     assert dense.eigenvalues.dtype == np.longdouble
     assert np.array_equal(dense.eigenvalues, _rayleigh_refine(h, dense.eigenvectors))
     assert np.all(np.diff(dense.eigenvalues) >= 0)
@@ -592,24 +515,26 @@ def test_dense_eigenvalues_are_long_double_rayleigh_quotients(h):
 @pytest.mark.parametrize("g", [0.0, 5e-324, 1e-310, 1e-200])
 def test_dense_oracle_turns_vanishing_couplings_without_warnings(g):
     # (w_a - lam_k) / (2 g) overflows below about 1e-308 J; the rotation is then the identity
-    h = build_hamiltonian(ModelParams(9, coupling=g))
+    params = ModelParams(9, coupling=g)
+    h = build_hamiltonian(params)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dense = DenseOraclePropagator(h)
+        dense = DenseOraclePropagator(params)
     u, w = dense.eigenvectors, dense.eigenvalues.astype(float)
     assert np.abs(u.T @ u - np.eye(18)).max() <= 1e-15
     assert np.abs(h @ u - u * w).max() <= 1e-14
 
 
-def _pi_a_at_50_digits(mpmath, h, x0, t):
-    """pi_a(t) of |e_x0> under the double matrix h, from a 50-digit eigendecomposition."""
-    n = len(h) // 2
+def _atoms_at_50_digits(mpmath, params, x0, t):
+    """The N atomic amplitudes at t of |e_x0> under the double matrix H, from a 50-digit
+    eigendecomposition, each rounded to complex double."""
+    n, h = params.n_cavities, build_hamiltonian(params)
     with mpmath.workdps(50):
         energies, vectors = mpmath.eigsy(mpmath.matrix(h.tolist()))
         weights = [mpmath.expj(-e * mpmath.mpf(t)) * vectors[n + x0 - 1, m]
                    for m, e in enumerate(energies)]
-        return float(sum(abs(mpmath.fdot([vectors[k, m] for m in range(2 * n)], weights)) ** 2
-                         for k in range(n, 2 * n)))
+        return np.array([complex(mpmath.fdot([vectors[k, m] for m in range(2 * n)], weights))
+                         for k in range(n, 2 * n)])
 
 
 def _pi_a(prop, params, x0, t):
@@ -624,7 +549,7 @@ def test_analytic_matches_a_50_digit_solve_where_g_dwarfs_j():
     mpmath = pytest.importorskip("mpmath")
     params = ModelParams(7, hopping=1.0, coupling=79287485263.0544)
     t = 1.0914626702688699e-05
-    exact = _pi_a_at_50_digits(mpmath, build_hamiltonian(params), 4, t)
+    exact = np.sum(np.abs(_atoms_at_50_digits(mpmath, params, 4, t)) ** 2)
     assert exact == pytest.approx(0.51868844425408877, abs=1e-16)
     assert abs(_pi_a(AnalyticPropagator(params), params, 4, t) - exact) <= 1e-13
     assert abs(_pi_a(make_propagator("dense", params), params, 4, t) - exact) <= 1e-13
@@ -636,7 +561,7 @@ def test_dense_and_analytic_agree_with_a_50_digit_solve_at_the_worst_scanned_poi
     mpmath = pytest.importorskip("mpmath")
     params = ModelParams(12, coupling=131138314.66727269)
     t = 0.007549280981788503
-    exact = _pi_a_at_50_digits(mpmath, build_hamiltonian(params), 6, t)
+    exact = np.sum(np.abs(_atoms_at_50_digits(mpmath, params, 6, t)) ** 2)
     analytic = _pi_a(AnalyticPropagator(params), params, 6, t)
     dense = _pi_a(make_propagator("dense", params), params, 6, t)
     assert abs(dense - analytic) <= 1e-10
@@ -652,7 +577,7 @@ def test_both_methods_stay_within_1e_10_of_a_50_digit_solve_at_the_time_bound():
     params = ModelParams(4, hopping=1.0, coupling=570791.0)
     t = 9.9e5 / max_energy(params)
     assert t == 1.7344291187873713
-    exact = _pi_a_at_50_digits(mpmath, build_hamiltonian(params), 2, t)
+    exact = np.sum(np.abs(_atoms_at_50_digits(mpmath, params, 2, t)) ** 2)
     analytic = _pi_a(AnalyticPropagator(params), params, 2, t)
     dense = _pi_a(make_propagator("dense", params), params, 2, t)
     assert abs(dense - analytic) < 1e-10
@@ -677,6 +602,21 @@ def test_dense_stays_within_1e_12_of_a_50_digit_solve_detuned_at_the_time_bound(
     mpmath = pytest.importorskip("mpmath")
     params = ModelParams(12, coupling=1.7, cavity_freq=-0.2, atom_freq=0.3)
     t = 9.9e5 / max_energy(params)
-    exact = _pi_a_at_50_digits(mpmath, build_hamiltonian(params), 5, t)
+    exact = np.sum(np.abs(_atoms_at_50_digits(mpmath, params, 5, t)) ** 2)
     assert abs(_pi_a(AnalyticPropagator(params), params, 5, t) - exact) < 1e-10
     assert abs(_pi_a(make_propagator("dense", params), params, 5, t) - exact) <= 1e-12
+
+
+def test_dense_decides_c_2_3_where_analytic_strays_inside_the_time_bound():
+    # a detuned n = 3 chain at max|E| * t = 9.4e5, inside MAX_ENERGY_TIME, where the two exact
+    # methods' C_2_3 differ by more than 1e-10: analytic is 1.14e-10 off a 50-digit solve
+    # (its eigenvalues rounded to double), dense 3.0e-14, so the gap is analytic's
+    mpmath = pytest.importorskip("mpmath")
+    params = ModelParams(3, coupling=2406446.6493437905, cavity_freq=2.7820912213109334,
+                         atom_freq=1.8812031391982682)
+    t = 0.39176063335315314
+    assert max_energy(params) * t <= MAX_ENERGY_TIME
+    exact = np.abs(_atoms_at_50_digits(mpmath, params, 3, t))
+    dense = np.abs(make_propagator("dense", params).evolve(
+        initial_atomic_excitation(params, 3), t, atoms_only=True))
+    assert abs(pair_concurrence(dense[1], dense[2]) - pair_concurrence(exact[1], exact[2])) <= 1e-12

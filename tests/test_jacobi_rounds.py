@@ -123,7 +123,7 @@ def test_dense_oracle_solves_bit_identical(monkeypatch, n, g):
         return jacobi_eigh(a)
 
     monkeypatch.setattr(dynamics, "jacobi_eigh", record)
-    DenseOraclePropagator(build_hamiltonian(ModelParams(n, coupling=g)))
+    DenseOraclePropagator(ModelParams(n, coupling=g))
     assert [len(m) for m in seen] == [(n + 1) // 2, n // 2]
     for m in seen:
         assert_same_bits_without_warnings(m)
@@ -139,14 +139,15 @@ def test_dense_oracle_rotations_match_the_seated_pair_solve(n, model):
     # seated mode k at index k and its atom at 2N-1-k, so that round 0 turned them all, and
     # mapped the vectors back by v @ y[k] and v @ y[~k]; one rotation per block gives the
     # same bits, up to the order of columns with exactly equal eigenvalues (n = 2, g = 0)
-    h = build_hamiltonian(ModelParams(n, **model))
+    params = ModelParams(n, **model)
+    h = build_hamiltonian(params)
     lam, v = dynamics._chain_eigh(h[:n, :n])
     k = np.arange(n)
     pairs = np.zeros_like(h)
     pairs[k, k], pairs[~k, ~k], pairs[k, ~k], pairs[~k, k] = lam, h[n, n], h[n, 0], h[n, 0]
     w, y = ref.jacobi_eigh(pairs)
     seated = np.concatenate([v @ y[k], v @ y[~k]])
-    u = DenseOraclePropagator(h).eigenvectors
+    u = DenseOraclePropagator(params).eigenvectors
     ties = np.split(np.arange(2 * n), np.flatnonzero(np.diff(w)) + 1)
     assert (len(ties) < 2 * n) == (model["coupling"] == 0.0)
     for tie in ties:

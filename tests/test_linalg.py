@@ -5,7 +5,7 @@ from jchsim import dynamics, spectral
 from jchsim.dynamics import DenseOraclePropagator, make_propagator
 from jchsim.entanglement import concurrence_wootters_oracle, reduce_to_pair
 from jchsim.linalg import evolution_phases, jacobi_eigh
-from jchsim.model import ModelParams, build_hamiltonian, initial_atomic_excitation
+from jchsim.model import ModelParams, initial_atomic_excitation
 
 
 def test_jacobi_diagonal_input():
@@ -84,7 +84,7 @@ def test_oracles_share_no_formula_with_the_analytic_path(monkeypatch):
     def oracles():
         params = ModelParams(12, coupling=1.3, atom_freq=0.2)
         state0 = initial_atomic_excitation(params, 4)
-        states = DenseOraclePropagator(build_hamiltonian(params)).evolve(state0, [0.5, 7.25])
+        states = DenseOraclePropagator(params).evolve(state0, [0.5, 7.25])
         return states, [concurrence_wootters_oracle(reduce_to_pair(states[1], i, 6))
                         for i in (2, 5, 9)]
 
