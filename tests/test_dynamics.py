@@ -478,17 +478,26 @@ def test_dense_sectors_match_one_full_solve(monkeypatch, n, omega_c):
     assert np.abs(h @ u - u * w).max() <= 1e-12 * np.linalg.norm(h)
 
 
+@pytest.mark.parametrize("g", [0.0, 0.8, 3e4])
 @pytest.mark.parametrize("n", [5, 12])
-def test_chain_eigh_of_a_full_block_equal_to_its_mirror_matches_eigh(n):
-    # a full symmetric block, not a chain: the sector split needs only the mirror symmetry
+def test_any_photon_block_equal_to_its_mirror_takes_the_chain_route(monkeypatch, n, g):
+    # a full symmetric block, not a chain: the route needs only the mirror and the blocks
     c = np.random.default_rng(n).standard_normal((n, n))
     c = c + c.T
     c = c + c[::-1, ::-1]
-    lam, v = dynamics._chain_eigh(c)
-    scale = np.linalg.norm(c)
-    assert np.abs(np.sort(lam) - np.linalg.eigh(c)[0]).max() <= 1e-12 * scale
-    assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-12
-    assert np.abs(c @ v - v * lam).max() <= 1e-12 * scale
+    h = np.zeros((2 * n, 2 * n))
+    h[:n, :n] = c
+    h[:n, n:] = h[n:, :n] = g * np.eye(n)
+    h[n:, n:] = -0.6 * np.eye(n)
+    monkeypatch.setattr(dynamics, "build_hamiltonian", lambda params: h)
+    sizes = _recorded_solves(monkeypatch)
+    dense = DenseOraclePropagator(ModelParams(n))
+    assert sizes == [(n + 1) // 2, n // 2]
+    w, u = dense.eigenvalues, dense.eigenvectors
+    scale = np.linalg.norm(h)
+    assert np.abs(w - np.linalg.eigh(h)[0]).max() <= 1e-12 * scale
+    assert np.abs(u.T @ u - np.eye(2 * n)).max() <= 1e-12
+    assert np.abs(h @ u - u * w).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))
