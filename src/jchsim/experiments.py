@@ -109,10 +109,7 @@ def worker_count() -> int:
 @functools.cache
 def _openblas_threads():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None for another BLAS."""
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath
+    from numpy._core import _multiarray_umath
     # dlsym on the extension also searches the libraries it was linked against
     lib = ctypes.CDLL(_multiarray_umath.__file__)
     try:

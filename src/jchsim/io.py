@@ -193,7 +193,7 @@ def write_map_csv(values, path):
     bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
     text = np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)
     sites = np.arange(1, len(values) + 1)
-    write_csv(path, ["site", *map(str, sites)], [sites, *text[inverse.reshape(np.shape(values))].T])
+    write_csv(path, ["site", *map(str, sites)], [sites, *text[inverse].T])
 
 
 def write_modes_csv(modes, path):

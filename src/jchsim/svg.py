@@ -36,7 +36,7 @@ def ramp_colors(values, scale_max: float):
     rgb = np.round(lo + (hi - lo) * w).astype(int) @ [0x10000, 0x100, 1]
     codes, inverse = np.unique(rgb, return_inverse=True)  # each distinct colour is named once
     names = np.array([f"#{code:06x}" for code in codes.tolist()], dtype=object)
-    return names[inverse.reshape(rgb.shape)]
+    return names[inverse]
 
 
 def _escape(text: str) -> str:

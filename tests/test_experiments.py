@@ -217,6 +217,14 @@ def test_a_failed_chunk_fails_only_its_coupling(monkeypatch, workers):
         compute_series(specs[2])
 
 
+def test_the_blas_pin_finds_the_thread_symbols_of_numpys_scipy_openblas():
+    # a scipy-openblas wheel whose symbols the lookup misses would skip every thread test
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy is built against {blas}, which the BLAS pin leaves as is")
+    assert experiments._openblas_threads() is not None
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_evolve_runs_runs_blas_on_one_thread_and_restores_it(monkeypatch, workers):
     threads = experiments._openblas_threads()
