@@ -1,12 +1,13 @@
 """CI's byte loop in one process: no command's bytes depend on the worker or BLAS thread count.
 
-Each of the loop's 18 commands runs through ``cli_main`` four times: with
+Each command of ``COMMANDS`` runs through ``cli_main`` four times: with
 ``experiments.worker_count`` at 1 and at 2, each with numpy's OpenBLAS set to
 1 and to 2 threads before the call (and restored after).  Every run must exit 0
 and print, and write, the same bytes.  Each setting runs in a directory of its
 own under the same relative ``--out``, so the ``wrote ...`` lines compare too.
-CI's loop keeps the subprocess half: the real ``OPENBLAS_NUM_THREADS`` at
-interpreter start and the real CPU affinity under ``taskset``.
+CI's loop imports ``CONFIGS`` and ``COMMANDS`` from here and keeps the
+subprocess half: the real ``OPENBLAS_NUM_THREADS`` at interpreter start and the
+real CPU affinity under ``taskset``.
 """
 
 from pathlib import Path
@@ -40,7 +41,8 @@ CONFIGS = {
                       "pairs = 45:57,50:52\n"),
 }
 
-# fig4 at g/J = 97.3 maps N = 201 in eight chunks, the heaviest preset
+# fig4 at g/J = 97.3 maps N = 201 in eight chunks, the heaviest preset; the dense
+# runs on dense3.cfg and detuned47.cfg are the loop's oracles with omega_a != omega_c
 COMMANDS = [
     "sweep --config sweep.cfg", "fig2", "fig4 --g-over-j 10", "fig3", "fig4 --g-over-j 97.3",
     "evolve --config dense.cfg --method analytic", "evolve --config dense.cfg",

@@ -10,7 +10,7 @@ import pytest
 import svg_reference
 from csv_reader import read_csv
 from jchsim import dynamics, experiments, io
-from jchsim.cli import cli_main
+from jchsim.cli import cli_main, main
 from jchsim.dynamics import TimeGrid
 from jchsim.experiments import ExperimentSpec
 from jchsim.model import ModelParams
@@ -19,6 +19,17 @@ from jchsim.model import ModelParams
 def test_no_subcommand_is_usage_error(capsys):
     assert cli_main([]) == 1
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [([], 1), (["fig4", "--g-over", "-1e-5", "--out", "r"], 2)],
+                         ids=["jchsim", "fig4 --g-over -1e-5"])
+def test_main_exits_with_the_code_of_cli_main(tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["jchsim", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == code
+    assert [*tmp_path.iterdir()] == []
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -120,9 +131,12 @@ def test_negative_value_in_exponent_form_is_config_error(tmp_path, capsys, argv)
     assert not out.exists()
 
 
-def test_a_flag_without_its_value_is_usage_error(capsys):
-    assert cli_main(["fig4", "--g-over-j"]) == 1
-    assert "expected one argument" in capsys.readouterr().err
+def test_a_flag_without_its_value_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["fig4", "--g-over-j"], ["fig4", "--g-over-j", "--out", "r"]):
+        assert cli_main(argv) == 1
+        assert "expected one argument" in capsys.readouterr().err
+    assert [*tmp_path.iterdir()] == []
 
 
 _FLOAT_VALUES = [  # argv, the flag its error cites
