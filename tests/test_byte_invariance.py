@@ -55,7 +55,6 @@ COMMANDS = [
 ]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning", "error::DeprecationWarning")
 @pytest.mark.parametrize("command", COMMANDS)
 def test_command_bytes_depend_on_no_worker_or_blas_thread_count(tmp_path, monkeypatch, capsys,
                                                                   command):

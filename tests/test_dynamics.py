@@ -629,3 +629,18 @@ def test_dense_decides_c_2_3_where_analytic_strays_inside_the_time_bound():
     dense = np.abs(make_propagator("dense", params).evolve(
         initial_atomic_excitation(params, 3), t, atoms_only=True))
     assert abs(pair_concurrence(dense[1], dense[2]) - pair_concurrence(exact[1], exact[2])) <= 1e-12
+
+
+def test_dense_decides_c_3_4_where_analytic_strays_on_a_resonant_chain():
+    # a resonant n = 4 chain at max|E| * t = 8.6e5, inside MAX_ENERGY_TIME: analytic's C_3_4 is
+    # 1.41e-10 and its pi_a 1.17e-11 off a 50-digit solve (its eigenvalues rounded to double);
+    # dense is 2.8e-14 and 4.3e-15 off
+    mpmath = pytest.importorskip("mpmath")
+    params = ModelParams(4, coupling=72008699.37825075)
+    t = 0.012009514144193711
+    assert max_energy(params) * t <= MAX_ENERGY_TIME
+    exact = np.abs(_atoms_at_50_digits(mpmath, params, 3, t))
+    dense = make_propagator("dense", params)
+    atoms = np.abs(dense.evolve(initial_atomic_excitation(params, 3), t, atoms_only=True))
+    assert abs(pair_concurrence(atoms[2], atoms[3]) - pair_concurrence(exact[2], exact[3])) <= 1e-12
+    assert abs(_pi_a(dense, params, 3, t) - np.sum(exact ** 2)) <= 1e-12
