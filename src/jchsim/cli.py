@@ -126,7 +126,7 @@ def _cmd_modes(cfg):
 
 def _cmd_evolve(cfg):
     if cfg.t_max == 0:  # the plot needs a time axis; a sweep draws none
-        raise ConfigError(f"{cfg._sources['t_max']}: evolve needs t_max > 0 for its plot")
+        raise cfg.error("t_max", "evolve needs t_max > 0 for its plot")
     series = compute_series(_spec(cfg, cfg.g))
     _series_artifacts(series, _outdir(cfg), "evolve",
                       f"N={cfg.n}, g={cfg.g:g}J, method={cfg.method}")
@@ -153,9 +153,9 @@ def _cmd_fig3(cfg):
 
 def _cmd_fig4(cfg):
     if cfg.g <= 0:
-        raise ConfigError(f"--g-over-j: the coupling must be > 0, got {cfg.g:g}")
+        raise cfg.error("g", f"the coupling must be > 0, got {cfg.g:g}")
     if math.isinf(math.pi / cfg.g):  # the grid snaps to multiples of pi/g
-        raise ConfigError(f"--g-over-j: pi/g overflows to inf at g = {cfg.g:g}")
+        raise cfg.error("g", f"pi/g overflows to inf at g = {cfg.g:g}")
     _map_artifacts(run_fig4(cfg.g), _outdir(cfg) / f"fig4_g{cfg.g:g}_maxmap", cfg.scale_max,
                    f"max C_ij, g = {cfg.g:g} J, tJ in [0, 90]")
     return 0
@@ -163,7 +163,7 @@ def _cmd_fig4(cfg):
 
 def _cmd_sweep(cfg):
     if not cfg.g_list:
-        raise ConfigError("sweep needs a non-empty 'g_list' in the config")
+        raise cfg.error("g_list", "sweep needs a non-empty 'g_list' in the config")
     results = run_sweep([_spec(cfg, g) for g in cfg.g_list])
     out = _outdir(cfg)
     rows = []
@@ -214,14 +214,13 @@ def cli_main(argv) -> int:
         return run(cfg)
     except EnergyTimeError as exc:  # cite the key that set the latest time
         key = {"fig3": "snapshot_times", "fig4": "g"}.get(args.command, "t_max")
-        where = f"{cfg._sources[key]}: " if key in cfg._sources else ""
-        print(f"config error: {where}{exc.describe('t_max' if key == 't_max' else 't')}",
+        print(f"config error: {cfg.error(key, exc.describe('t_max' if key == 't_max' else 't'))}",
               file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, ValueError, OSError, FloatingPointError) as exc:
+    except (ConvergenceError, ValueError, OSError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

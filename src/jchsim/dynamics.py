@@ -1,8 +1,8 @@
 """Time evolution in the single-excitation sector.
 
 Four propagators are provided; the first three are AnalyticPropagator (the
-complex sine vectors of ``sine_modes``, a 2x2 unitary per mode, back to sites),
-each with its own mode table:
+read-only complex sine vectors ``sine_modes(N)``, a 2x2 unitary per mode, back
+to sites), each with its own mode table:
 
 * AnalyticPropagator -- exact, via the 2x2 dressed blocks of the normal-mode
   decomposition; valid in every coupling regime.
@@ -73,7 +73,7 @@ class AnalyticPropagator:
     def __init__(self, params: ModelParams):
         self.params = params
         self.modes = self.table(mode_table(params))
-        self._vectors = sine_modes(params.n_cavities)[1]
+        self._vectors = sine_modes(params.n_cavities)
 
     def table(self, modes: ModeTable) -> ModeTable:
         """The per-mode blocks this propagator applies; the exact dressed ones here."""
@@ -159,9 +159,9 @@ class DenseOraclePropagator:
 
 
 def resonant_mode(modes: ModeTable) -> int:
-    """1-based index of the lowest mode whose |delta_k| is within 1e-12 of the smallest."""
+    """1-based index of the lowest mode whose |delta_k| is within 1e-12 J of the smallest."""
     detuning = np.abs(modes.detunings)
-    return int(np.argmax(detuning <= detuning.min() + 1e-12)) + 1
+    return int(np.argmax(detuning <= detuning.min() + 1e-12 * modes.params.hopping)) + 1
 
 
 def weak_table(modes: ModeTable) -> ModeTable:

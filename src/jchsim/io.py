@@ -21,7 +21,7 @@ class ConfigError(ValueError):
 class RunConfig:
     """Validated run configuration with defaults applied."""
 
-    n: int = 0
+    n: int | None = None
     j: float = 1.0
     g: float = 0.0
     omega_c: float = 0.0
@@ -38,10 +38,14 @@ class RunConfig:
     # the line or flag that set each key, for error messages; not itself a config key
     _sources: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def error(self, key, message) -> ConfigError:
+        """A ConfigError for ``key``, prefixed with the line or flag that set it, if any."""
+        return ConfigError(f"{self._sources[key]}: {message}" if key in self._sources else message)
+
     def model_params(self) -> ModelParams:
-        """The model of this config; n = 0 stands for an unset size."""
-        if self.n == 0:
-            raise ConfigError("missing required key 'n'")
+        """The model of this config; raises ConfigError while n is unset."""
+        if self.n is None:
+            raise self.error("n", "missing required key 'n'")
         return ModelParams(
             n_cavities=self.n, hopping=self.j, coupling=self.g,
             cavity_freq=self.omega_c, atom_freq=self.omega_a,
@@ -117,45 +121,42 @@ def parse_config(text: str, flags=()) -> RunConfig:
 def validate(cfg: RunConfig):
     """Raise ConfigError at the first bad value, citing the line or flag that set it.
 
-    n = 0 stands for an unset size: the presets fix their own sizes, so x0 and pairs
-    are checked only once n is set.  max|E| * t is checked where a run evolves.
+    The presets fix their own sizes, so x0 and pairs are checked only once n is set.
+    max|E| * t is checked where a run evolves.
     """
-    def fail(key, message):
-        where = f"{cfg._sources[key]}: " if key in cfg._sources else ""
-        raise ConfigError(where + message)
-
     for key in _FLOATS + _FLOAT_LISTS:
         if not np.all(np.isfinite(getattr(cfg, key))):
-            fail(key, f"{key} must be finite, got {getattr(cfg, key)}")
+            raise cfg.error(key, f"{key} must be finite, got {getattr(cfg, key)}")
     for key in _ENERGIES:
         if not np.all(np.abs(getattr(cfg, key)) <= MAX_ENERGY):
-            fail(key, f"{key} must be at most {MAX_ENERGY:g} in magnitude, got {getattr(cfg, key)}")
-    if cfg.n != 0 and cfg.n < 2:
-        fail("n", f"n must be >= 2, got {cfg.n}")
+            raise cfg.error(key, f"{key} must be at most {MAX_ENERGY:g} in magnitude, "
+                                 f"got {getattr(cfg, key)}")
+    if cfg.n is not None and cfg.n < 2:
+        raise cfg.error("n", f"n must be >= 2, got {cfg.n}")
     if not cfg.j >= 1 / MAX_ENERGY:  # the energy unit: the norm of H must not underflow
-        fail("j", f"j must be at least {1 / MAX_ENERGY:g}, got {cfg.j}")
+        raise cfg.error("j", f"j must be at least {1 / MAX_ENERGY:g}, got {cfg.j}")
     if cfg.g < 0:
-        fail("g", f"g must be >= 0, got {cfg.g}")
-    if cfg.n != 0 and cfg.x0 is not None and not 1 <= cfg.x0 <= cfg.n:
-        fail("x0", f"x0 must be in [1, {cfg.n}], got {cfg.x0}")
+        raise cfg.error("g", f"g must be >= 0, got {cfg.g}")
+    if cfg.n is not None and cfg.x0 is not None and not 1 <= cfg.x0 <= cfg.n:
+        raise cfg.error("x0", f"x0 must be in [1, {cfg.n}], got {cfg.x0}")
     if cfg.samples < 2:
-        fail("samples", f"samples must be >= 2, got {cfg.samples}")
+        raise cfg.error("samples", f"samples must be >= 2, got {cfg.samples}")
     if cfg.t_max < 0:
-        fail("t_max", f"need t_max >= 0, got {cfg.t_max}")
+        raise cfg.error("t_max", f"need t_max >= 0, got {cfg.t_max}")
     if cfg.scale_max <= 0:
-        fail("scale_max", f"scale_max must be > 0, got {cfg.scale_max}")
+        raise cfg.error("scale_max", f"scale_max must be > 0, got {cfg.scale_max}")
     for i, j in cfg.pairs:
-        if cfg.n != 0 and (i == j or not (1 <= i <= cfg.n and 1 <= j <= cfg.n)):
-            fail("pairs", f"invalid pair {i}:{j} for n = {cfg.n}")
+        if cfg.n is not None and (i == j or not (1 <= i <= cfg.n and 1 <= j <= cfg.n)):
+            raise cfg.error("pairs", f"invalid pair {i}:{j} for n = {cfg.n}")
     # each entry names a file: sweep_g{g:g}_series.csv, fig3_t{t:g}_map.csv
     for key, prefix in (("g_list", "g"), ("snapshot_times", "t")):
         names = set()
         for x in getattr(cfg, key):
             if x < 0:
-                fail(key, f"{key} entries must be >= 0, got {x}")
+                raise cfg.error(key, f"{key} entries must be >= 0, got {x}")
             if f"{x:g}" in names:
-                fail(key, f"{key} entries must differ in their file name, "
-                          f"{x!r} gives {prefix}{x:g}")
+                raise cfg.error(key, f"{key} entries must differ in their file name, "
+                                     f"{x!r} gives {prefix}{x:g}")
             names.add(f"{x:g}")
 
 

@@ -2,9 +2,9 @@
 
 For a uniform open chain the photon normal modes are standing waves
 v_{k,x} = sqrt(2/(N+1)) sin(kx) with k = pi*m/(N+1), m = 1..N, at frequencies
-omega_k = omega_c - 2J cos(k); :func:`sine_modes` holds k and v, the real v
-stored as complex numbers for the transforms.  Each mode hybridizes with its
-atomic counterpart through a 2x2 block, giving two dressed branches per mode.
+omega_k = omega_c - 2J cos(k); :func:`momenta` gives k and :func:`sine_modes` the
+N x N basis v, real but stored complex for the transforms.  Each mode hybridizes
+with its atomic counterpart through a 2x2 block, giving two dressed branches per mode.
 :func:`mode_table` returns both as the two rows of one ``ModeTable``, '+' then
 '-' (``BRANCH_SIGNS``): the table that ``AnalyticPropagator`` applies, and its
 weak and strong subclasses replace.
@@ -42,25 +42,28 @@ class ModeTable:
     eps: np.ndarray
 
 
+def momenta(n: int) -> np.ndarray:
+    """The momenta k = pi m / (N+1) of the N sine modes, m = 1..N."""
+    return np.pi * np.arange(1, n + 1) / (n + 1)
+
+
 @functools.lru_cache(maxsize=8)
-def sine_modes(n: int) -> tuple:
-    """Momenta k and the sine vectors ``vectors[m-1, x-1]`` = v_{k,x}, stored complex.
+def sine_modes(n: int) -> np.ndarray:
+    """The sine vectors ``vectors[m-1, x-1]`` = v_{k,x}, stored complex.
 
     The vectors are real; the complex dtype spares every transform a cast.  They
-    depend on N alone, so every coupling of a sweep shares them; the arrays are
+    depend on N alone, so every coupling of a sweep shares them; the array is
     read-only.
     """
-    k = np.pi * np.arange(1, n + 1) / (n + 1)
-    vectors = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, np.arange(1, n + 1)))
-    arrays = (k, vectors.astype(complex))
-    for x in arrays:
-        x.setflags(write=False)
-    return arrays
+    vectors = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(momenta(n), np.arange(1, n + 1)))
+    vectors = vectors.astype(complex)
+    vectors.setflags(write=False)
+    return vectors
 
 
 def mode_table(params: ModelParams) -> ModeTable:
     """Closed-form normal modes of the open uniform chain and their dressed spectrum."""
-    k = sine_modes(params.n_cavities)[0]
+    k = momenta(params.n_cavities)
     frequencies = params.cavity_freq - 2.0 * params.hopping * np.cos(k)
 
     g = params.coupling

@@ -26,7 +26,8 @@ def ramp_colors(values, scale_max: float):
     object array otherwise). Values outside the range, ±inf included, clip
     to the end colours; NaN raises ``ValueError``.
     """
-    u = np.asarray(values, dtype=float) / scale_max
+    with np.errstate(over="ignore"):  # a tiny scale_max gives +-inf, which clips to the ends
+        u = np.asarray(values, dtype=float) / scale_max
     if np.isnan(u).any():
         raise ValueError("cannot colour a NaN value")
     u = np.clip(u, 0.0, 1.0)

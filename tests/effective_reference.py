@@ -20,7 +20,7 @@ def weak_coupling_amplitudes(x0, t, modes, resonant_mode):
                                + cos(gt) v_{k',x} v_{k',x0}].
     """
     params = modes.params
-    v = sine_modes(params.n_cavities)[1].real
+    v = sine_modes(params.n_cavities).real
     kr = resonant_mode - 1
     vx0 = v[:, x0 - 1]
     weights = vx0.copy()
@@ -34,7 +34,7 @@ def strong_coupling_amplitudes(x0, t, modes):
     c_{a,x}(t) = cos(gt) sum_k e^{-i w_k t / 2} v_{k,x} v_{k,x0}.
     """
     params = modes.params
-    v = sine_modes(params.n_cavities)[1].real
+    v = sine_modes(params.n_cavities).real
     vx0 = v[:, x0 - 1]
     return np.cos(params.coupling * t) * (v.T @ (np.exp(-1j * modes.frequencies * t / 2.0) * vx0))
 

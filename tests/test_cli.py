@@ -41,6 +41,29 @@ def test_missing_n_is_config_error(tmp_path, capsys):
     assert "missing required key 'n'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evolve", "fig2"])
+def test_explicit_n_zero_is_cited_like_any_bad_size(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 0\n")
+    out = tmp_path / "r"
+    assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: line 1: n must be >= 2, got 0\n"
+    assert not out.exists()
+
+
+def test_an_allocation_failure_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    def out_of_memory(method, params):  # sine_modes(10**6) asks numpy for 7.28 TiB
+        raise MemoryError(f"no room for the basis of n = {params.n_cavities}")
+
+    monkeypatch.setattr(experiments, "make_propagator", out_of_memory)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 1000000\ng = 0.5\n")
+    out = tmp_path / "r"
+    assert cli_main(["evolve", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "error: no room for the basis of n = 1000000\n")
+    assert not out.exists()
+
+
 def test_bad_config_line_number(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = two\n")

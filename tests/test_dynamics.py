@@ -282,14 +282,19 @@ def test_make_propagator_dispatch():
         make_propagator("magic", params)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e10])
 @pytest.mark.parametrize("atom_freq", [0.0, 1.0, -0.37, 1.9])
-def test_weak_propagator_picks_the_mode_closest_to_resonance(atom_freq):
+def test_weak_propagator_picks_the_mode_closest_to_resonance(atom_freq, scale):
+    # every energy in units of J = scale: the pick cannot depend on the unit
     for n in range(2, 201):
-        params = ModelParams(n, coupling=1e-3, atom_freq=atom_freq)
-        # the lowest mode index whose |delta_k| is within 1e-12 of the smallest
+        params = ModelParams(n, hopping=scale, coupling=1e-3 * scale, atom_freq=atom_freq * scale)
+        # the lowest mode index whose |delta_k| is within 1e-12 J of the smallest
         detuning = np.abs(atom_freq + 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
         expected = 1 + min(k for k in range(n) if detuning[k] <= detuning.min() + 1e-12)
         assert resonant_mode(WeakCouplingPropagator(params).modes) == expected, n
+    unit = ModelParams(41, coupling=1e-3, atom_freq=atom_freq)
+    scaled = ModelParams(41, hopping=scale, coupling=1e-3 * scale, atom_freq=atom_freq * scale)
+    assert validity("weak", scaled) == pytest.approx(validity("weak", unit), rel=1e-9)
 
 
 def test_mode_propagators_are_built_from_the_model_alone():

@@ -23,8 +23,17 @@ def test_parse_config_fig2_compatible():
 
 
 def test_parse_config_missing_n():
+    assert parse_config("").n is None
     with pytest.raises(ConfigError, match="missing required key 'n'"):
         parse_config("").model_params()
+
+
+def test_config_error_cites_the_line_or_flag_that_set_its_key():
+    cfg = parse_config("n = 5\n", [("--t-max", "t_max", "10")])
+    assert str(cfg.error("n", "bad n")) == "line 1: bad n"
+    assert str(cfg.error("t_max", "bad t")) == "--t-max: bad t"
+    assert str(cfg.error("g", "bad g")) == "bad g"  # the default: no source to cite
+    assert isinstance(cfg.error("g", "bad g"), ConfigError)
 
 
 def test_parse_config_flags_win_and_are_cited():

@@ -6,36 +6,37 @@ import pytest
 from jchsim.dynamics import AnalyticPropagator, StrongCouplingPropagator, WeakCouplingPropagator
 from jchsim.linalg import jacobi_eigh
 from jchsim.model import ModelParams, build_hamiltonian
-from jchsim.spectral import mode_table, sine_modes
+from jchsim import spectral
+from jchsim.spectral import mode_table, momenta, sine_modes
 
 
 def eigenstate_vector(modes, m: int, branch: str) -> np.ndarray:
     """Full 2N eigenvector of mode m (1-based) on branch '+' or '-'."""
     if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-    row, v = "+-".index(branch), sine_modes(modes.params.n_cavities)[1][m - 1].real
+    row, v = "+-".index(branch), sine_modes(modes.params.n_cavities)[m - 1].real
     return np.concatenate([modes.a[row, m - 1] * v, modes.b[row, m - 1] * v]).astype(complex)
 
 
 def test_band_center_mode():
     modes = mode_table(ModelParams(41))
     assert abs(modes.frequencies[20]) <= 1e-14
-    assert abs(sine_modes(41)[1][20, 20].real ** 2 - 1.0 / 21.0) <= 1e-14
+    assert abs(sine_modes(41)[20, 20].real ** 2 - 1.0 / 21.0) <= 1e-14
 
 
 def test_mode_normalization():
-    vectors = sine_modes(17)[1].real
+    vectors = sine_modes(17).real
     norms = np.sum(vectors**2, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-12
 
 
 def test_even_mode_vanishes_at_center():
     # even m has a node at the center site
-    assert abs(sine_modes(41)[1][1, 20].real) <= 1e-14
+    assert abs(sine_modes(41)[1, 20].real) <= 1e-14
 
 
 def test_orthonormality_and_completeness():
-    vectors = sine_modes(23)[1].real
+    vectors = sine_modes(23).real
     gram = vectors @ vectors.T
     assert np.abs(gram - np.eye(23)).max() <= 1e-12
     # completeness: sum_k v_{k,x} v_{k,x0} = delta_{x,x0}
@@ -147,21 +148,31 @@ def test_spectrum_matches_jacobi(n):
 
 def test_sine_modes_are_built_once_read_only_and_equal_a_fresh_build():
     n = 37
-    arrays = sine_modes(n)
-    assert len(arrays) == 2
-    k, vectors = arrays
+    vectors = sine_modes(n)
     fresh_k = np.pi * np.arange(1, n + 1) / (n + 1)
     fresh = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(fresh_k, np.arange(1, n + 1)))
-    assert k.tobytes() == fresh_k.tobytes()
+    assert momenta(n).tobytes() == fresh_k.tobytes()
     assert vectors.dtype == complex and vectors.tobytes() == fresh.astype(complex).tobytes()
-    for x in (k, vectors):
-        assert not x.flags.writeable
-        with pytest.raises(ValueError):
-            x[0] = 0.0
+    assert not vectors.flags.writeable
+    with pytest.raises(ValueError):
+        vectors[0] = 0.0
     # every coupling and propagator of this N shares the one build
     for g in (0.01, 3.0):
         params = ModelParams(n, coupling=g)
-        assert mode_table(params).momenta is k
+        assert mode_table(params).momenta.tobytes() == fresh_k.tobytes()
         assert AnalyticPropagator(params)._vectors is vectors
         assert StrongCouplingPropagator(params)._vectors is vectors
         assert WeakCouplingPropagator(params)._vectors is vectors
+
+
+def test_mode_table_reads_the_momenta_without_the_sine_basis(monkeypatch):
+    params = ModelParams(41, coupling=0.2, atom_freq=0.3)
+    modes = mode_table(params)
+
+    def refuse(n):
+        raise AssertionError(f"mode_table built the {n} x {n} sine basis")
+
+    monkeypatch.setattr(spectral, "sine_modes", refuse)
+    guarded = mode_table(params)
+    for name in ("momenta", "frequencies", "detunings", "rabi", "a", "b", "eps"):
+        assert getattr(guarded, name).tobytes() == getattr(modes, name).tobytes(), name

@@ -123,6 +123,12 @@ def test_heatmap_bytes_match_etree_reference_scale_and_title(tmp_path, scale_max
     _assert_heatmap_bytes(tmp_path, values, scale_max=scale_max, title=title)
 
 
+def test_heatmap_bytes_match_etree_reference_at_the_smallest_scale(tmp_path):
+    # value / scale_max overflows to +-inf, which clips to the end colours
+    values = np.random.default_rng(7).uniform(-0.2, 1.2, size=(7, 7))
+    _assert_heatmap_bytes(tmp_path, values, scale_max=5e-324)
+
+
 def test_heatmap_bytes_match_etree_reference_on_channel_half_points(tmp_path):
     scale_max = 0.25
     m = np.arange(46 * 46)
