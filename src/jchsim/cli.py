@@ -68,7 +68,7 @@ def _flag(key) -> str:
 def build_parser() -> _Parser:
     parser = _Parser(prog="jchsim", description=__doc__.split("\n")[1])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, keys) in _COMMANDS.items():
+    for name, (_, help_text, keys, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, help="key=value config file")
         for key in ("out", *keys):
@@ -183,17 +183,18 @@ def _cmd_sweep(cfg):
     return 3 if any(isinstance(result, Exception) for result in results) else 0
 
 
-# subcommand -> (runner, help, config keys it accepts as flags besides --out)
+# subcommand -> (runner, help, config keys it accepts as flags besides --out, the key that sets
+# the latest time, which a max|E| * t refusal cites: None where no config key sets it)
 _COMMANDS = {
-    "modes": (_cmd_modes, "dump the normal-mode/dressed-spectrum table as CSV", ()),
+    "modes": (_cmd_modes, "dump the normal-mode/dressed-spectrum table as CSV", (), None),
     "evolve": (_cmd_evolve, "evolve an initial atomic excitation and record observables",
-               ("method", "samples", "t_max", "pairs")),
-    "fig2": (_cmd_fig2, "weak-coupling entropy and concurrence series (N=41 preset)", ()),
+               ("method", "samples", "t_max", "pairs"), "t_max"),
+    "fig2": (_cmd_fig2, "weak-coupling entropy and concurrence series (N=41 preset)", (), None),
     "fig3": (_cmd_fig3, "strong-coupling concurrence snapshots (N=101 preset)",
-             ("snapshot_times",)),
-    "fig4": (_cmd_fig4, "running-max concurrence map (N=201 preset)", ("g", "scale_max")),
+             ("snapshot_times",), "snapshot_times"),
+    "fig4": (_cmd_fig4, "running-max concurrence map (N=201 preset)", ("g", "scale_max"), "g"),
     "sweep": (_cmd_sweep, "batch of observable series over the config's g_list",
-              ("samples", "t_max", "pairs")),
+              ("samples", "t_max", "pairs"), "t_max"),
 }
 
 
@@ -205,7 +206,7 @@ def cli_main(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    run, _, keys = _COMMANDS[args.command]
+    run, _, keys, cited = _COMMANDS[args.command]
     flags = [(_flag(key), key, getattr(args, key)) for key in ("out", *keys)
              if getattr(args, key) is not None]
     try:
@@ -213,9 +214,8 @@ def cli_main(argv) -> int:
         cfg = jio.parse_config(text, flags)
         return run(cfg)
     except EnergyTimeError as exc:  # cite the key that set the latest time
-        key = {"fig3": "snapshot_times", "fig4": "g"}.get(args.command, "t_max")
-        print(f"config error: {cfg.error(key, exc.describe('t_max' if key == 't_max' else 't'))}",
-              file=sys.stderr)
+        time_name = "t_max" if cited == "t_max" else "t"
+        print(f"config error: {cfg.error(cited, exc.describe(time_name))}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import _rayleigh_refine, evolution_phases, jacobi_eigh, jacobi_rotation
-from .model import ModelParams, build_hamiltonian
+from .model import ModelParams, build_hamiltonian, check_integers
 from .spectral import BRANCH_SIGNS, ModeTable, mode_table, sine_modes
 
 
@@ -47,6 +47,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (0 <= self.t_start <= self.t_end and np.isfinite(self.t_end)):
             raise ValueError("need finite t_end >= t_start >= 0")
+        check_integers("n_samples", self.n_samples)
         if self.n_samples < 2:
             raise ValueError("need at least 2 samples")
 

@@ -9,6 +9,7 @@ kept as an independent oracle for it.
 import numpy as np
 
 from .linalg import jacobi_eigh
+from .model import check_integers
 
 # rho may have eigenvalues this far below zero (rounding) and still count as PSD
 _PSD_TOL = 1e-9
@@ -48,6 +49,7 @@ def reduce_to_pair(state: np.ndarray, i: int, j: int) -> np.ndarray:
     only the single-excitation central block carries coherence.
     """
     ca = atomic_amplitudes(state)
+    check_integers("site", i, j)
     if i == j or not (1 <= i <= len(ca) and 1 <= j <= len(ca)):
         raise ValueError(f"need two distinct sites in [1, {len(ca)}], got {i} and {j}")
     ci, cj = ca[i - 1], ca[j - 1]

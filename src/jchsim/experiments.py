@@ -20,7 +20,8 @@ from . import entanglement
 
 # evolve_series and mode_table stay importable here: the benchmark tracer looks them up
 from .dynamics import TimeGrid, evolve_series, make_propagator  # noqa: F401
-from .model import MAX_ENERGY_TIME, ModelParams, initial_atomic_excitation, max_energy
+from .model import (MAX_ENERGY_TIME, ModelParams, check_integers, initial_atomic_excitation,
+                    max_energy)
 from .spectral import mode_table  # noqa: F401
 
 # the most time rows in one chunk of evolve_runs
@@ -41,9 +42,11 @@ class ExperimentSpec:
 
     def __post_init__(self):
         n = self.params.n_cavities
+        check_integers("x0", self.x0)
         if not 1 <= self.x0 <= n:
             raise ValueError(f"x0 {self.x0} out of range [1, {n}]")
         for i, j in self.pairs:
+            check_integers("a pair's site", i, j)
             if i == j or not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"pair ({i}, {j}) is not two distinct sites in [1, {n}]")
 
@@ -196,17 +199,15 @@ def evolve_runs(runs) -> list[list | Exception]:
     """Each run's [reduce(amplitudes at times[rows]) for rows in chunks], or its first exception.
 
     ``runs`` lists (method, params, x0, times, reduce, chunks) tuples; ``reduce`` gets the atomic
-    amplitudes of |e_x0>, shape (rows, N).  Before any set-up, EnergyTimeError is raised
-    unless every max|E| * max(times) is at most ``MAX_ENERGY_TIME``.  All propagators are
-    built first, then all chunks go to one ``map_chunks`` call; a failed run stops no other.
+    amplitudes of |e_x0>, shape (rows, N).  Before any set-up, EnergyTimeError is raised for
+    the first run whose max|E| * max(times) is not at most ``MAX_ENERGY_TIME``.  All propagators
+    are built first, then all chunks go to one ``map_chunks`` call; a failed run stops no other.
     Set-up and chunks run with BLAS on one thread, restored when the call returns or raises.
     """
-    bounds = [(max_energy(run[1]), float(np.max(run[3], initial=0.0))) for run in runs]
-    # the largest max|E| * max(times), a NaN one taken first, as it fails the test too
-    energy, time = max(bounds, default=(0.0, 0.0),
-                       key=lambda bound: (np.isnan(bound[0] * bound[1]), bound[0] * bound[1]))
-    if not energy * time <= MAX_ENERGY_TIME:
-        raise EnergyTimeError(energy, time)
+    for _, params, _, times, _, _ in runs:
+        energy, time = max_energy(params), float(np.max(times, initial=0.0))
+        if not energy * time <= MAX_ENERGY_TIME:  # a NaN product fails it too
+            raise EnergyTimeError(energy, time)
 
     def build(method, params, x0, times, reduce, _):
         prop, state0 = make_propagator(method, params), initial_atomic_excitation(params, x0)
@@ -214,11 +215,11 @@ def evolve_runs(runs) -> list[list | Exception]:
 
     with one_blas_thread():  # the dense set-up's norms and every chunk's products
         steps = [_attempt(build, *run) for run in runs]
-        jobs = [(step, rows) for step, run in zip(steps, runs)
-                if not isinstance(step, Exception) for rows in run[5]]
+        jobs = [(step, rows) for step, (*_, chunks) in zip(steps, runs)
+                if not isinstance(step, Exception) for rows in chunks]
         done = iter(map_chunks(lambda job: job[0](job[1]), jobs))  # run by run, in chunk order
-    parts = [[step] if isinstance(step, Exception) else [next(done) for _ in run[5]]
-             for step, run in zip(steps, runs)]
+    parts = [[step] if isinstance(step, Exception) else [next(done) for _ in chunks]
+             for step, (*_, chunks) in zip(steps, runs)]
     return [next((p for p in got if isinstance(p, Exception)), got) for got in parts]
 
 

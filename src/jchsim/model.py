@@ -5,6 +5,7 @@ The single-excitation sector of an N-cavity array is spanned by the 2N states
 as the N photon amplitudes followed by the N atomic amplitudes.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,13 @@ MAX_ENERGY = 1e150
 MAX_ENERGY_TIME = 1e6
 
 
+def check_integers(name, *values):
+    """Raise ValueError unless every one of ``values`` is an integer; numpy's integers count."""
+    for value in values:
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of a uniform 1D coupled-cavity array.
@@ -41,7 +49,7 @@ class ModelParams:
     atom_freq: float = 0.0
 
     def __post_init__(self):
-        if int(self.n_cavities) != self.n_cavities or self.n_cavities < 2:
+        if not isinstance(self.n_cavities, numbers.Integral) or self.n_cavities < 2:
             raise ValueError(f"n_cavities must be an integer >= 2, got {self.n_cavities}")
         for name in ("hopping", "coupling", "cavity_freq", "atom_freq"):
             if not abs(getattr(self, name)) <= MAX_ENERGY:
@@ -80,6 +88,7 @@ def build_hamiltonian(params: ModelParams) -> np.ndarray:
 def initial_atomic_excitation(params: ModelParams, x0: int) -> np.ndarray:
     """State with the atom at site x0 excited (index N + x0 - 1), everything else in vacuum."""
     n = params.n_cavities
+    check_integers("site", x0)
     if not 1 <= x0 <= n:
         raise ValueError(f"site {x0} out of range [1, {n}]")
     state = np.zeros(params.dim, dtype=complex)

@@ -9,7 +9,7 @@ import pytest
 
 import svg_reference
 from csv_reader import read_csv
-from jchsim import dynamics, experiments, io
+from jchsim import dynamics, experiments, io, linalg
 from jchsim.cli import cli_main, main
 from jchsim.dynamics import TimeGrid
 from jchsim.experiments import ExperimentSpec
@@ -62,6 +62,43 @@ def test_an_allocation_failure_is_a_runtime_error(tmp_path, capsys, monkeypatch)
     assert cli_main(["evolve", "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr() == ("", "error: no room for the basis of n = 1000000\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("content, reason", [
+    (None, "[Errno 2] No such file or directory: '{cfg}'"),
+    (b"n = 5\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+], ids=["missing", "not-utf-8"])
+def test_an_unreadable_config_is_a_runtime_error(tmp_path, capsys, content, reason):
+    # an OSError, or a UnicodeDecodeError, which is a ValueError: neither is a config error
+    cfg, out = tmp_path / "run.cfg", tmp_path / "r"
+    if content is not None:
+        cfg.write_bytes(content)
+    assert cli_main(["modes", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", f"error: {reason.format(cfg=cfg)}\n")
+    assert not out.exists()
+
+
+def test_a_dense_evolve_that_does_not_converge_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
+    cfg, out = tmp_path / "run.cfg", tmp_path / "r"
+    cfg.write_text("n = 12\ng = 0.5\nmethod = dense\nt_max = 10\nsamples = 16\n")
+    assert cli_main(["evolve", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "error: Jacobi did not converge in 1 sweeps\n")
+    assert not out.exists()
+
+
+def test_a_dense_sweep_that_does_not_converge_writes_failed_rows(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
+    cfg, out = tmp_path / "run.cfg", tmp_path / "s"
+    cfg.write_text("n = 12\ng_list = 0.5, 1\nmethod = dense\nt_max = 10\nsamples = 16\n")
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr() == (
+        f"wrote {out / 'sweep_summary.csv'}\n",
+        "error: spec g=0.5 failed: Jacobi did not converge in 1 sweeps\n"
+        "error: spec g=1 failed: Jacobi did not converge in 1 sweeps\n")
+    assert [path.name for path in out.iterdir()] == ["sweep_summary.csv"]
+    assert (out / "sweep_summary.csv").read_text() == (
+        "g_over_j,max_entropy,max_pi_f,status\n0.5,nan,nan,failed\n1,nan,nan,failed\n")
 
 
 def test_bad_config_line_number(tmp_path, capsys):
@@ -433,6 +470,29 @@ def test_fig3_bound_set_in_the_config_cites_its_line(tmp_path, capsys):
     out = tmp_path / "r"
     assert cli_main(["fig3", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error: line 1: max|E| * t must be at most 1e+06" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_sweep_over_the_bound_cites_its_first_coupling_over_it(tmp_path, capsys):
+    # max|E| = 2J + g: 100002 * 50 comes first and is over; 10000002 * 50 is further over
+    cfg, out = tmp_path / "run.cfg", tmp_path / "s"
+    cfg.write_text("n = 11\ng_list = 1e5, 1e7\nt_max = 50\n")
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: line 3: max|E| * t_max must be at most 1e+06, got 100002 * 50: "
+        "the phases E t lose accuracy beyond it\n")
+    assert not out.exists()
+
+
+def test_a_preset_over_the_bound_cites_no_config_line(tmp_path, capsys, monkeypatch):
+    # fig2 reads no time key, so the t_max line it ignores is not cited
+    monkeypatch.setattr(experiments, "MAX_ENERGY_TIME", 1.0)
+    cfg, out = tmp_path / "run.cfg", tmp_path / "r"
+    cfg.write_text("t_max = 5\n")
+    assert cli_main(["fig2", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: max|E| * t must be at most 1, got 2.001 * 12566.4: "
+        "the phases E t lose accuracy beyond it\n")
     assert not out.exists()
 
 

@@ -45,6 +45,14 @@ def test_time_grid_validation():
             TimeGrid(t_start, t_end, 5)
 
 
+@pytest.mark.parametrize("n_samples", [2.5, 3.0, np.float64(3.0)],
+                         ids=["half", "float", "numpy-float"])
+def test_time_grid_rejects_a_sample_count_that_is_not_an_integer(n_samples):
+    with pytest.raises(ValueError, match="n_samples must be an integer, got"):
+        TimeGrid(0.0, 1.0, n_samples)
+    assert TimeGrid(0.0, 1.0, np.int64(3)).times.tolist() == [0.0, 0.5, 1.0]
+
+
 def test_analytic_identity_at_t0():
     params = ModelParams(7, coupling=0.3)
     prop = AnalyticPropagator(params)

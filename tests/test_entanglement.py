@@ -94,6 +94,15 @@ def test_reduce_to_pair_validation():
         reduce_to_pair(state, 0, 3)
 
 
+@pytest.mark.parametrize("i, j", [(2.0, 3), (2, np.float64(3.0)), (1.5, 3)],
+                         ids=["float", "numpy-float", "half"])
+def test_reduce_to_pair_rejects_sites_that_are_not_integers(i, j):
+    state = initial_atomic_excitation(ModelParams(4, coupling=0.1), 2)
+    with pytest.raises(ValueError, match="site must be an integer, got"):
+        reduce_to_pair(state, i, j)
+    assert reduce_to_pair(state, np.int64(2), np.int32(3))[1, 1] == 1.0
+
+
 def test_reduced_matrices_along_trajectory():
     params = ModelParams(10, coupling=0.9, atom_freq=0.2)
     prop = AnalyticPropagator(params)

@@ -64,6 +64,19 @@ def test_spec_validates_pairs(pair):
         small_spec(pairs=(pair,))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("x0", 5.0), ("x0", np.float64(5.0)), ("pairs", ((2.0, 5.0),)), ("pairs", ((2, 5.5),)),
+], ids=["x0", "x0-numpy", "pair", "pair-half"])
+def test_spec_sites_must_be_integers(field, value):
+    # x0 = 5.0 once failed in compute_series, and pair sites 2.0, 5.0 reached a CSV header
+    # as C_2.0_5.0
+    fields = dict(params=ModelParams(9, coupling=0.5), x0=5, grid=TimeGrid(0.0, 20.0, 64))
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        ExperimentSpec(**{**fields, field: value})
+    spec = ExperimentSpec(**{**fields, "x0": np.int64(5)}, pairs=((np.int32(2), np.int64(5)),))
+    assert compute_series(spec).pairs == [(2, 5)]
+
+
 def test_series_entropy_is_binary_entropy_of_pi_a():
     series = compute_series(small_spec())
     expected = np.array([binary_entropy(p) for p in series.pi_a])
@@ -437,8 +450,8 @@ def test_library_calls_beyond_the_bound_raise(monkeypatch):
 
 @pytest.mark.parametrize("order", [1, -1])
 def test_nan_times_fail_the_bound_before_any_setup(monkeypatch, order):
-    # nan > 1e6 is False: a test written that way would pass NaN times, and
-    # the largest product must not let a finite run hide a NaN one
+    # nan > 1e6 is False: a test written that way would pass NaN times; a NaN product
+    # fails the bound wherever its run stands, behind a finite one too
     monkeypatch.setattr(experiments, "make_propagator", _no_setup)
     params = ModelParams(9, coupling=1.0)
     runs = [("analytic", params, 5, times, len, [slice(None)])
@@ -446,6 +459,15 @@ def test_nan_times_fail_the_bound_before_any_setup(monkeypatch, order):
     with pytest.raises(EnergyTimeError) as info:
         experiments.evolve_runs(runs[::order])
     assert np.isnan(info.value.args[1])
+
+
+def test_the_first_run_over_the_bound_is_refused(monkeypatch):
+    monkeypatch.setattr(experiments, "make_propagator", _no_setup)
+    runs = [("analytic", ModelParams(9, coupling=g), 5, np.linspace(0.0, 20.0, 4), len,
+             [slice(None)]) for g in (1.0, 1e5, 1e7)]
+    with pytest.raises(EnergyTimeError) as info:
+        experiments.evolve_runs(runs)
+    assert info.value.args == (100002.0, 20.0)
 
 
 @pytest.mark.parametrize("g_over_j, refused", [(11109.0, False), (11110.0, True)])

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from jchsim import dynamics, spectral
+from jchsim import dynamics, linalg, spectral
 from jchsim.dynamics import DenseOraclePropagator, make_propagator
 from jchsim.entanglement import concurrence_wootters_oracle, reduce_to_pair
-from jchsim.linalg import evolution_phases, jacobi_eigh
+from jchsim.linalg import ConvergenceError, evolution_phases, jacobi_eigh
 from jchsim.model import ModelParams, initial_atomic_excitation
 
 
@@ -35,6 +35,13 @@ def test_jacobi_rejects_nonsymmetric():
         jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         jacobi_eigh(np.zeros((2, 3)))
+
+
+def test_jacobi_raises_when_its_sweeps_run_out(monkeypatch):
+    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
+    a = np.random.default_rng(5).standard_normal((6, 6))
+    with pytest.raises(ConvergenceError, match="^Jacobi did not converge in 1 sweeps$"):
+        jacobi_eigh(a + a.T)
 
 
 def test_jacobi_zero_matrix():

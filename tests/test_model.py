@@ -40,6 +40,22 @@ def test_initial_excitation_layout():
                 initial_atomic_excitation(params, x0)
 
 
+@pytest.mark.parametrize("n", [5.0, np.float64(5.0)], ids=["float", "numpy-float"])
+def test_params_reject_a_size_that_is_not_an_integer(n):
+    # 5.0 once passed as a size, and the first use of it raised TypeError
+    with pytest.raises(ValueError, match="n_cavities must be an integer >= 2"):
+        ModelParams(n_cavities=n)
+    assert ModelParams(n_cavities=np.int64(5)).dim == 10
+
+
+@pytest.mark.parametrize("x0", [2.0, np.float64(2.0), 2.5], ids=["float", "numpy-float", "half"])
+def test_initial_excitation_rejects_a_site_that_is_not_an_integer(x0):
+    params = ModelParams(4, coupling=1.0)
+    with pytest.raises(ValueError, match="site must be an integer, got"):
+        initial_atomic_excitation(params, x0)
+    assert np.flatnonzero(initial_atomic_excitation(params, np.int32(2))).tolist() == [5]
+
+
 def test_hamiltonian_decoupled_atoms():
     h = build_hamiltonian(ModelParams(2, hopping=1.0, coupling=0.0))
     expected = np.zeros((4, 4))
