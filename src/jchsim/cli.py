@@ -31,7 +31,6 @@ from .experiments import (
     run_sweep,
 )
 from .io import ConfigError
-from .linalg import ConvergenceError
 from .spectral import mode_table
 
 
@@ -220,7 +219,7 @@ def cli_main(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, ValueError, OSError, FloatingPointError, MemoryError) as exc:
+    except (ValueError, OSError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,19 +1,14 @@
 """Self-contained eigenvalue machinery used by the verification oracles.
 
-One solver lives here so that the oracle paths do not share code with the
-closed-form physics they are meant to check: a Jacobi eigensolver for real
-symmetric matrices in round-robin (parallel) order, each round of disjoint
-rotations one in-place update x <- c x + s x[partner] per axis.  It serves both
-oracles: the dense propagator solves the photon chain's two mirror sectors with
-it and turns each mode-atom pair by one ``jacobi_rotation``, and the Wootters
-concurrence takes the eigenvalues of Hermitian 4x4 matrices through their real
-symmetric 8x8 forms.
-
-It calls no LAPACK eigen-routine (``numpy.linalg.eig*``): the oracles are
+Two solvers live here, so that the oracles share no code with the closed-form
+physics they check.  The dense propagator solves the photon chain's two mirror
+sectors with ``tridiagonal_eigh``, O(n^2) by Sturm-count bisection and twisted
+factorizations, and turns each mode-atom pair by one ``jacobi_rotation``.  The
+Wootters concurrence takes the eigenvalues of Hermitian 4x4 matrices through
+their real symmetric 8x8 forms with ``jacobi_eigh``, a round-robin Jacobi solver.
+Neither calls a LAPACK eigen-routine (``numpy.linalg.eig*``): the oracles are
 meant to stay independent of the library solvers they may be compared with.
 """
-
-import functools
 
 import numpy as np
 
@@ -29,24 +24,15 @@ _JACOBI_MAX_SWEEPS = 100
 def jacobi_eigh(a: np.ndarray):
     """Eigendecomposition of a real symmetric matrix by round-robin Jacobi.
 
-    Each sweep visits every (p, q) pair once in round-robin (Brent-Luk
-    parallel) order: a round holds up to n/2 disjoint pairs, and with n odd
-    one index sits out each round.  The disjoint ``jacobi_rotation``s of a round
-    commute, so they are applied together to the columns of a, its rows and the
-    rows of the eigenvectors, each as one in-place x <- c x + s x[partner]:
-    partner swaps p and q, and c and s are length-n vectors, (c, -s) at p and
-    (c, s) at q.  An index that sits out and a skipped pair turn by cos 1 and
-    sin 0, so no round branches on its kept pairs or allocates a matrix.
-    Sweeps repeat until the off-diagonal Frobenius norm drops below
-    ``_JACOBI_TOL`` relative to the matrix norm.  Returns (eigenvalues
-    ascending, eigenvectors as columns).
-
-    Raises ValueError if the matrix is empty (0 x 0), if its norm is not
-    finite (entries of about 1.3e154 and up overflow it, and the convergence
-    test would then pass at once) or if it underflows to 0 for a nonzero
-    matrix (entries below about 1.6e-162, which would otherwise come back
-    unrotated), and ConvergenceError if ``_JACOBI_MAX_SWEEPS`` sweeps do not
-    converge.
+    Each sweep visits every (p, q) pair once in round-robin (Brent-Luk parallel)
+    order, up to n/2 disjoint pairs a round; their ``jacobi_rotation``s commute, so one
+    row, column and eigenvector update applies a round's kept pairs at once.
+    Sweeps repeat until the off-diagonal Frobenius norm drops below ``_JACOBI_TOL``
+    relative to the matrix norm.  Returns (eigenvalues ascending, eigenvectors as
+    columns).  Raises ValueError for an empty matrix, and for a norm that is not
+    finite (entries from about 1.3e154) or that underflows to 0 for a nonzero
+    matrix (entries below about 1.6e-162): either would pass the convergence test
+    at once.  Raises ConvergenceError if ``_JACOBI_MAX_SWEEPS`` sweeps do not converge.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -62,42 +48,34 @@ def jacobi_eigh(a: np.ndarray):
                          "its largest entry must be at least about 1.6e-162")
     if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
         raise ValueError("matrix is not symmetric")
-    original, a = a, a.copy()
-    n = a.shape[0]
+    original, a, n = a, a.copy(), len(a)
+    vecs = np.eye(n)
     # rotations with |a_pq| below this cannot affect the converged result
     skip = 0.01 * _JACOBI_TOL * scale / n
-    rounds = _schedule(n)
-    flat, diag = a.reshape(-1), np.diagonal(a)
-    # the eigenvectors are rotated as rows, whose partner gather copies whole rows
-    vt = np.eye(n)
-    # the partner gather, the off-diagonal copy, and the cos and sin of each index in a round
-    taken, off, cos, sin = np.empty_like(a), np.empty_like(a), np.empty(n), np.empty(n)
-    # the same cos and sin as (n, 1) views, turning rows where (n,) turns columns
-    cos_rows, sin_rows = cos[:, None], sin[:, None]
-
+    # round r seats index 0, then 1..m-1 rotated r places, and seat i meets seat m-1-i; for odd
+    # n a phantom index n pads the circle to even m, and its partner sits the round out
+    m = n + n % 2
+    seats = [np.concatenate(([0], np.roll(np.arange(1, m), r))) for r in range(m - 1)]
+    pairs = [np.sort((s[: m // 2], s[::-1][: m // 2]), axis=0) for s in seats]
+    rounds = [tuple(pq[:, pq[1] < n]) for pq in pairs]
     for _ in range(_JACOBI_MAX_SWEEPS):
-        np.copyto(off, a)  # a with its diagonal zeroed, for the off-diagonal norm
-        np.fill_diagonal(off, 0.0)
-        if np.linalg.norm(off) <= _JACOBI_TOL * scale:
-            vecs = vt.T
+        if np.linalg.norm(a - np.diag(np.diag(a))) <= _JACOBI_TOL * scale:
             w = _rayleigh_refine(original, vecs).astype(float)
             order = np.argsort(w, kind="stable")
             return w[order], vecs[:, order]
-        for p, q, zeroed, partner in rounds:
-            apq = flat[zeroed[0]]
-            keep = np.abs(apq) > skip
+        for p, q in rounds:
+            keep = np.abs(a[p, q]) > skip
             if not keep.any():
                 continue
-            c, s = jacobi_rotation(diag[p], diag[q], np.where(keep, apq, 0.0))
-            # new (x_p, x_q) = (c x_p - s x_q, s x_p + c x_q); an index that sits out keeps x
-            cos.fill(1.0)
-            sin.fill(0.0)
-            cos[p] = cos[q] = c
-            sin[p], sin[q] = -s, s
-            _rotate(a, partner, 1, cos, sin, taken)
-            _rotate(a, partner, 0, cos_rows, sin_rows, taken)
-            flat[zeroed.compress(keep, 1)] = 0.0
-            _rotate(vt, partner, 0, cos_rows, sin_rows, taken)
+            p, q = p[keep], q[keep]
+            c, s = jacobi_rotation(a[p, p], a[q, q], a[p, q])
+            # new (x_p, x_q) = (c x_p - s x_q, s x_p + c x_q), all pairs at once
+            pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
+            cc, ss = np.concatenate((c, c)), np.concatenate((-s, s))
+            a[:, pq] = cc * a[:, pq] + ss * a[:, qp]
+            a[pq, :] = cc[:, None] * a[pq, :] + ss[:, None] * a[qp, :]
+            a[pq, qp] = 0.0
+            vecs[:, pq] = cc * vecs[:, pq] + ss * vecs[:, qp]
     raise ConvergenceError(f"Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
 
 
@@ -115,46 +93,62 @@ def jacobi_rotation(app, aqq, apq):
     return c, np.where(zero, 0.0, t * c)
 
 
-def _rotate(x, partner, axis, cos, sin, taken):
-    """Set x to cos * x + sin * x.take(partner, axis) in place (axis 0: rows, 1: columns).
+def tridiagonal_eigh(d, e):
+    """Eigendecomposition of a stack of real symmetric tridiagonal matrices, O(n^2) each.
 
-    ``cos`` and ``sin`` hold one value per index and broadcast against x: shape
-    (n,) over its columns, (n, 1) over its rows.  The gather lands in ``taken``.
-    Every index is turned: one left alone has cos 1 and sin 0, and x * 1 + y * 0
-    is x for every finite y (a -0.0 may come back as +0.0).
+    Row k of ``d``, shape (m, n), is the diagonal of matrix k, and row k of ``e``, shape
+    (m, n - 1), its off-diagonal.  Every eigenvalue is bisected at once on Sturm counts
+    (Barth, Martin and Wilkinson, Numer. Math. 9, 1967) to eps times its matrix's
+    Gershgorin scale, each vector comes from one twisted factorization (Fernando, SIAM J.
+    Matrix Anal. Appl. 18, 1997), and one QR per matrix restores orthogonality.  A stack
+    gives the bits of one call per matrix.  The eigenvalues must be distinct, as they are
+    where no e is 0.  Returns (eigenvalues ascending, shape (m, n); eigenvectors as
+    columns, shape (m, n, n)).
     """
-    x.take(partner, axis, taken, "clip")
-    np.multiply(x, cos, x)
-    np.multiply(taken, sin, taken)
-    np.add(x, taken, x)
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    if (d.ndim != 2 or e.shape != (len(d), d.shape[1] - 1)
+            or not np.isfinite(np.append(d, e)).all()):
+        raise ValueError(f"expected finite (m, n) and (m, n - 1) arrays, got {d.shape}, {e.shape}")
+    n, tiny, eps = d.shape[1], np.finfo(float).tiny, np.finfo(float).eps
+    radius = np.pad(np.abs(e), ((0, 0), (1, 0))) + np.pad(np.abs(e), ((0, 0), (0, 1)))
+    lo = np.repeat((d - radius).min(1, keepdims=True), n, 1)
+    hi = np.repeat((d + radius).max(1, keepdims=True), n, 1)
+    scale = np.maximum(-lo[:, :1], hi[:, :1])
+    # components run along axis 0, eigenvalues along the last
+    diag, e2, pivmin = d.T[:, :, None], (e * e).T[:, :, None], np.maximum(eps * eps * scale, tiny)
+    while (active := hi - lo > np.maximum(eps * scale, tiny)).any():
+        mid = 0.5 * (lo + hi)
+        # the negative pivots of T - mid = L D L^T count the eigenvalues below mid
+        below = (_pivots(diag - mid, e2, pivmin) < 0.0).sum(0) > np.arange(n)
+        hi = np.where(active & below, mid, hi)
+        lo = np.where(active & ~below, mid, lo)
+    w = 0.5 * (lo + hi)
+    # T - w = N_r D_r N_r^T twisted at the r with the smallest |gamma_r|, from the pivots
+    # taken from the top (plus) and from the bottom (minus)
+    delta = diag - w
+    plus = _pivots(delta.copy(), e2, pivmin)
+    minus = _pivots(delta[::-1].copy(), e2[::-1], pivmin)[::-1]
+    twist = np.abs(plus + minus - delta).argmin(0)
+    # z_r = 1; z_i = -e_i z_(i+1) / plus_i above r and z_(i+1) = -e_i z_i / minus_(i+1) below
+    z, above = (np.arange(n)[:, None, None] == twist).astype(float), e.T[:, :, None]
+    for i in range(n - 2, -1, -1):
+        z[i] = np.where(i < twist, -above[i] * z[i + 1] / plus[i], z[i])
+    for i in range(n - 1):
+        z[i + 1] = np.where(i >= twist, -above[i] * z[i] / minus[i + 1], z[i + 1])
+    z = z.transpose(1, 0, 2)
+    q, r = np.linalg.qr(z / np.linalg.norm(z, axis=1, keepdims=True))
+    # turned by the signs of R's diagonal, Q is the nearest to the twisted vectors
+    return w, q * np.where(np.diagonal(r, 0, 1, 2) < 0.0, -1.0, 1.0)[:, None, :]
 
 
-@functools.lru_cache(maxsize=64)
-def _schedule(n: int) -> tuple:
-    """One Jacobi sweep in round-robin order, each round with the indices its update uses.
-
-    Circle method: index 0 stays put while the others rotate one place per
-    round, and position i meets position m-1-i.  For odd n a phantom index n
-    pads the circle to even m, and its partner sits the round out.
-
-    Each round is its pairs p < q, the flat indices of a_pq (row 0) and a_qp
-    (row 1), and the partner permutation (p <-> q, an index that sits out to
-    itself).  The arrays are read-only, as every solve of size n shares them.
-    """
-    m, k = n + n % 2, n // 2
-    # round r seats index 0, then 1..m-1 rotated r places (np.roll of the ring)
-    shift = np.arange(m - 1)[:, None]
-    seats = np.concatenate((np.zeros_like(shift), 1 + (np.arange(m - 1) - shift) % (m - 1)), 1)
-    left, right = seats[:, : m // 2], seats[:, ::-1][:, : m // 2]
-    real = (left < n) & (right < n)  # every round has k real pairs
-    p = np.minimum(left, right)[real].reshape(m - 1, k)
-    q = np.maximum(left, right)[real].reshape(m - 1, k)
-    partner = np.tile(np.arange(n), (m - 1, 1))
-    partner[shift, p], partner[shift, q] = q, p
-    arrays = (p, q, np.stack((p * n + q, q * n + p), axis=1), partner)
-    for x in arrays:
-        x.setflags(write=False)
-    return tuple(zip(*arrays))
+def _pivots(delta, e2, pivmin):
+    """The pivots D of T - x = L D L^T from the top, in place of ``delta``, the diagonal of
+    T - x (T's squared off-diagonal is ``e2``); a pivot smaller than pivmin is -pivmin."""
+    for i in range(len(delta)):
+        if i:
+            delta[i] -= e2[i - 1] / delta[i - 1]
+        np.copyto(delta[i], -pivmin, where=np.abs(delta[i]) < pivmin)
+    return delta
 
 
 def _rayleigh_refine(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -170,14 +164,13 @@ def _rayleigh_refine(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     column, as a zero term never changes a partial sum that starts at +0.  Rows
     with fewer nonzeros are padded with 0 * v[0], which adds such a zero term.
     """
-    al = a.astype(np.longdouble)
     vl = vecs.astype(np.longdouble, order="C")  # the sums round by layout, not column order
     rows, cols = np.nonzero(a)  # in row-major order
     rank = np.arange(len(rows)) - np.searchsorted(rows, rows)  # place within its row
     # row i's k-th nonzero and its column at [k, i]
     values = np.zeros((rank.max(initial=-1) + 1, len(a)), dtype=np.longdouble)
     columns = np.zeros(values.shape, dtype=np.intp)
-    values[rank, rows], columns[rank, rows] = al[rows, cols], cols
+    values[rank, rows], columns[rank, rows] = a[rows, cols], cols
     av = np.zeros_like(vl)
     for value, column in zip(values, columns):
         av += value[:, None] * vl[column]

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # largest |energy| a model accepts, in units of J.  Derived quantities reach the
-# square of an energy (the Frobenius norm of H in the Jacobi oracle) or several
-# times it (hypot(delta_k + Omega_k, 2g) in the mode table), so the bound sits
+# square of an energy (the squared hoppings of the dense oracle's Sturm counts) or
+# several times it (hypot(delta_k + Omega_k, 2g) in the mode table), so the bound sits
 # far below sqrt(DBL_MAX) ~ 1.34e154.  The hopping J, the energy unit, must be at
-# least 1 / MAX_ENERGY, so the norm of H cannot underflow either.
+# least 1 / MAX_ENERGY, so the square of J cannot underflow either.
 MAX_ENERGY = 1e150
 # largest ``max_energy`` * t an evolution accepts.  At 9.9e5 (N = 4, g = 5.7e5 J) the analytic
 # atomic probability is 3.6e-11 from a 50-digit solve, its eigenvalues rounded to double, and

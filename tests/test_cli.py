@@ -9,7 +9,7 @@ import pytest
 
 import svg_reference
 from csv_reader import read_csv
-from jchsim import dynamics, experiments, io, linalg
+from jchsim import dynamics, experiments, io
 from jchsim.cli import cli_main, main
 from jchsim.dynamics import TimeGrid
 from jchsim.experiments import ExperimentSpec
@@ -76,29 +76,6 @@ def test_an_unreadable_config_is_a_runtime_error(tmp_path, capsys, content, reas
     assert cli_main(["modes", "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr() == ("", f"error: {reason.format(cfg=cfg)}\n")
     assert not out.exists()
-
-
-def test_a_dense_evolve_that_does_not_converge_is_a_runtime_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
-    cfg, out = tmp_path / "run.cfg", tmp_path / "r"
-    cfg.write_text("n = 12\ng = 0.5\nmethod = dense\nt_max = 10\nsamples = 16\n")
-    assert cli_main(["evolve", "--config", str(cfg), "--out", str(out)]) == 3
-    assert capsys.readouterr() == ("", "error: Jacobi did not converge in 1 sweeps\n")
-    assert not out.exists()
-
-
-def test_a_dense_sweep_that_does_not_converge_writes_failed_rows(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
-    cfg, out = tmp_path / "run.cfg", tmp_path / "s"
-    cfg.write_text("n = 12\ng_list = 0.5, 1\nmethod = dense\nt_max = 10\nsamples = 16\n")
-    assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
-    assert capsys.readouterr() == (
-        f"wrote {out / 'sweep_summary.csv'}\n",
-        "error: spec g=0.5 failed: Jacobi did not converge in 1 sweeps\n"
-        "error: spec g=1 failed: Jacobi did not converge in 1 sweeps\n")
-    assert [path.name for path in out.iterdir()] == ["sweep_summary.csv"]
-    assert (out / "sweep_summary.csv").read_text() == (
-        "g_over_j,max_entropy,max_pi_f,status\n0.5,nan,nan,failed\n1,nan,nan,failed\n")
 
 
 def test_bad_config_line_number(tmp_path, capsys):

@@ -26,6 +26,7 @@ from jchsim.dynamics import (
     weak_table,
 )
 from jchsim.entanglement import pair_concurrence
+from jchsim.experiments import FIG3_COUPLING, fig2_spec, fig4_grid
 from jchsim.linalg import _rayleigh_refine, evolution_phases, jacobi_eigh
 from jchsim.model import (MAX_ENERGY_TIME, ModelParams, build_hamiltonian, initial_atomic_excitation,
                           max_energy)
@@ -459,31 +460,16 @@ def test_jacobi_still_solves_entries_just_below_the_overflow():
     assert np.array_equal(w, jacobi_eigh(h)[0] * 2.0**500)
 
 
-def _recorded_solves(monkeypatch):
-    """The sizes of the matrices the dense oracle hands to jacobi_eigh, in call order."""
-    sizes = []
-
-    def record(a):
-        sizes.append(len(a))
-        return jacobi_eigh(a)
-
-    monkeypatch.setattr(dynamics, "jacobi_eigh", record)
-    return sizes
-
-
 @pytest.mark.parametrize("n, omega_c", [
     *(pytest.param(n, -0.2, id=str(n)) for n in (2, 3, 8, 9, 16, 17)),
     # at n = 3 the mirror-odd sector is the 1 x 1 matrix [[-0.0]]
     *(pytest.param(n, -0.0, id=f"{n}-omega_c-0") for n in (2, 3)),
 ])
-def test_dense_sectors_match_one_full_solve(monkeypatch, n, omega_c):
+def test_dense_sectors_match_one_full_solve(n, omega_c):
+    # the two mirror sectors and the pair rotations against one Jacobi solve of the whole H
     params = ModelParams(n, coupling=1.3, cavity_freq=omega_c, atom_freq=0.37)
     h = build_hamiltonian(params)
-    sizes = _recorded_solves(monkeypatch)
     dense = DenseOraclePropagator(params)
-    # the chain's two mirror sectors (the even one holds the centre site of an odd N);
-    # every mode with its atom is one rotation, not a solve
-    assert sizes == [(n + 1) // 2, n // 2]
     w, u = dense.eigenvalues, dense.eigenvectors
     assert np.all(np.diff(w) >= 0)
     assert np.abs(w - jacobi_eigh(h)[0]).max() <= 1e-12 * np.linalg.norm(h)
@@ -491,26 +477,48 @@ def test_dense_sectors_match_one_full_solve(monkeypatch, n, omega_c):
     assert np.abs(h @ u - u * w).max() <= 1e-12 * np.linalg.norm(h)
 
 
-@pytest.mark.parametrize("g", [0.0, 0.8, 3e4])
-@pytest.mark.parametrize("n", [5, 12])
-def test_any_photon_block_equal_to_its_mirror_takes_the_chain_route(monkeypatch, n, g):
-    # a full symmetric block, not a chain: the route needs only the mirror and the blocks
-    c = np.random.default_rng(n).standard_normal((n, n))
-    c = c + c.T
-    c = c + c[::-1, ::-1]
-    h = np.zeros((2 * n, 2 * n))
-    h[:n, :n] = c
-    h[:n, n:] = h[n:, :n] = g * np.eye(n)
-    h[n:, n:] = -0.6 * np.eye(n)
-    monkeypatch.setattr(dynamics, "build_hamiltonian", lambda params: h)
-    sizes = _recorded_solves(monkeypatch)
-    dense = DenseOraclePropagator(ModelParams(n))
-    assert sizes == [(n + 1) // 2, n // 2]
-    w, u = dense.eigenvalues, dense.eigenvectors
-    scale = np.linalg.norm(h)
-    assert np.abs(w - np.linalg.eigh(h)[0]).max() <= 1e-12 * scale
-    assert np.abs(u.T @ u - np.eye(2 * n)).max() <= 1e-12
-    assert np.abs(h @ u - u * w).max() <= 1e-12 * scale
+@pytest.mark.parametrize("n, model", [
+    (96, dict(coupling=1.0)), (47, dict(coupling=1.5)), (12, dict(coupling=1.3e8)),
+    (41, dict(coupling=1e-3)), (16, dict(coupling=1.0)), (3, dict(coupling=1.0, cavity_freq=-0.0)),
+    (9, dict(coupling=1.3, atom_freq=0.37, cavity_freq=-0.2)), (2, dict(coupling=0.0)),
+], ids=str)
+def test_dense_oracle_rotations_match_the_seated_pair_solve(n, model):
+    # the earlier oracle solved the N blocks [[lam_k, g], [g, w_a]] as one 2N matrix that
+    # seated mode k at index k and its atom at 2N-1-k, so that round 0 turned them all, and
+    # mapped the vectors back by v @ y[k] and v @ y[~k]; one rotation per block gives the
+    # same bits, up to the order of columns with exactly equal eigenvalues (n = 2, g = 0)
+    params = ModelParams(n, **model)
+    h = build_hamiltonian(params)
+    lam, v = dynamics._chain_eigh(h[:n, :n])
+    k = np.arange(n)
+    pairs = np.zeros_like(h)
+    pairs[k, k], pairs[~k, ~k], pairs[k, ~k], pairs[~k, k] = lam, h[n, n], h[n, 0], h[n, 0]
+    w, y = jacobi_eigh(pairs)
+    seated = np.concatenate([v @ y[k], v @ y[~k]])
+    u = DenseOraclePropagator(params).eigenvectors
+    ties = np.split(np.arange(2 * n), np.flatnonzero(np.diff(w)) + 1)
+    assert (len(ties) < 2 * n) == (model["coupling"] == 0.0)
+    for tie in ties:
+        assert sorted(u[:, tie].T.tolist()) == sorted(seated[:, tie].T.tolist())
+
+
+@pytest.mark.parametrize("params, x0, grid", [
+    (fig2_spec().params, fig2_spec().x0, fig2_spec().grid.times),
+    (ModelParams(101, coupling=FIG3_COUPLING), 51, np.pi / FIG3_COUPLING * np.array([2e3, 5e3, 1e4])),
+    *((ModelParams(201, coupling=g), 101, fig4_grid(g)) for g in (1.07, 10.0, 97.3)),
+    # the sweep workload's N = 1001 at its middle coupling
+    (ModelParams(1001, coupling=1.0), 501, np.linspace(0.0, 50.0, 2000)),
+], ids=["fig2", "fig3", "fig4-1.07", "fig4-10", "fig4-97.3", "sweep"])
+def test_dense_matches_analytic_on_each_workload_model(params, x0, grid):
+    # five times of each grid, its first and last among them
+    times = grid[np.linspace(0, len(grid) - 1, 5).astype(int)]
+    state0 = initial_atomic_excitation(params, x0)
+    dense = make_propagator("dense", params)
+    u = dense.eigenvectors
+    assert np.abs(u.T @ u - np.eye(params.dim)).max() <= 1e-13
+    atoms = dense.evolve(state0, times, atoms_only=True)
+    exact = AnalyticPropagator(params).evolve(state0, times, atoms_only=True)
+    assert np.abs(atoms - exact).max() <= 1e-10
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))

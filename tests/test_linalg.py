@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from jchsim import dynamics, linalg, spectral
+from jchsim import dynamics, entanglement, linalg, spectral
 from jchsim.dynamics import DenseOraclePropagator, make_propagator
 from jchsim.entanglement import concurrence_wootters_oracle, reduce_to_pair
-from jchsim.linalg import ConvergenceError, evolution_phases, jacobi_eigh
-from jchsim.model import ModelParams, initial_atomic_excitation
+from jchsim.linalg import (ConvergenceError, evolution_phases, jacobi_eigh, jacobi_rotation,
+                           tridiagonal_eigh)
+from jchsim.model import ModelParams, build_hamiltonian, initial_atomic_excitation
 
 
 def test_jacobi_diagonal_input():
@@ -48,6 +51,170 @@ def test_jacobi_zero_matrix():
     w, v = jacobi_eigh(np.zeros((4, 4)))
     assert np.array_equal(w, np.zeros(4))
     assert np.array_equal(v, np.eye(4))
+
+
+def _whole_matrix_quotients(a, v):
+    # the long-double Rayleigh quotients of v's columns as numpy's long-double matmul forms
+    # them over the whole of a, zeros included
+    al, vl = a.astype(np.longdouble), v.astype(np.longdouble)
+    return (np.einsum("ij,ij->j", vl, al @ vl) / np.einsum("ij,ij->j", vl, vl)).astype(float)
+
+
+def assert_refined_decomposition(a):
+    # a divide or invalid-value warning would mean a skipped pair reached theta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, v = jacobi_eigh(a)
+    n, scale = len(a), np.linalg.norm(a)
+    assert np.all(np.diff(w) >= 0)
+    assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-12
+    assert np.abs(a @ v - v * w).max() <= 1e-12 * scale
+    # refined, each eigenvalue is its vector's long-double Rayleigh quotient rounded to
+    # double; the Jacobi diagonal itself sits about sqrt(rotations) eps ||A|| away
+    q = _whole_matrix_quotients(a, v)
+    assert np.all(np.abs(w - q) <= np.spacing(np.abs(q)))
+    return w, v
+
+
+def _symmetric(n, seed):
+    x = np.random.default_rng(seed).standard_normal((n, n))
+    return x + x.T
+
+
+def _real_form_with_negative_zeros():
+    # a real density matrix's real form [[Re, -Im], [Im, Re]] holds -0.0 in its -Im block
+    x = np.random.default_rng(8).standard_normal((4, 4))
+    rho = (x @ x.T).astype(complex) / np.trace(x @ x.T)
+    form = np.block([[rho.real, -rho.imag], [rho.imag, rho.real]])
+    assert np.any((form == 0.0) & np.signbit(form))
+    return form
+
+
+def _two_uncoupled_blocks():
+    a, rng = np.zeros((9, 9)), np.random.default_rng(5)
+    for block in (slice(0, 4), slice(4, 9)):
+        x = rng.standard_normal((9, 9))[block, block]
+        a[block, block] = x + x.T
+    return a
+
+
+@pytest.mark.parametrize("a", [
+    *(pytest.param(build_hamiltonian(ModelParams(n, coupling=g, atom_freq=omega_a)),
+                   id=f"jch-{n}-{g}-{omega_a}")
+      for g, omega_a in [(0.0, 0.0), (1.0, 0.3), (97.3, 0.0)] for n in (5, 8, 17, 32)),
+    *(pytest.param(_symmetric(n, 100 + n), id=f"random-{n}") for n in (1, 2, 3, 7, 8, 31)),
+    # an odd size, so one index sits out each round
+    pytest.param(_symmetric(101, 101), id="random-101"),
+    # this matrix's refined eigenvalues move in the last place when _rayleigh_refine is
+    # handed the eigenvectors as a transposed view rather than as a C-ordered array
+    pytest.param(_symmetric(64, 5), id="layout-sensitive"),
+    pytest.param(_real_form_with_negative_zeros(), id="negative-zeros"),
+])
+def test_jacobi_decomposes_with_the_same_bits_for_any_input_layout(a):
+    w, v = assert_refined_decomposition(a)
+    wf, vf = jacobi_eigh(np.asfortranarray(a))
+    assert wf.tobytes() == w.tobytes() and vf.tobytes() == v.tobytes()
+
+
+def test_jacobi_decomposes_the_wootters_real_forms(monkeypatch):
+    seen = []
+
+    def record(a):
+        seen.append(np.array(a, dtype=float))
+        return jacobi_eigh(a)
+
+    monkeypatch.setattr(entanglement, "jacobi_eigh", record)
+    rng = np.random.default_rng(11)
+    for n in (2, 5, 12):
+        state = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        concurrence_wootters_oracle(reduce_to_pair(state / np.linalg.norm(state), 1, n))
+    for p in (0.2, 0.9):
+        werner = (1 - p) / 4 * np.eye(4, dtype=complex)
+        werner[1:3, 1:3] += p * np.array([[0.5, -0.5], [-0.5, 0.5]])
+        concurrence_wootters_oracle(werner)
+    assert len(seen) == 10 and all(m.shape == (8, 8) for m in seen)
+    for m in seen:
+        assert_refined_decomposition(m)
+
+
+@pytest.mark.parametrize("a, width", [
+    pytest.param(_two_uncoupled_blocks(), 4, id="two-blocks-9"),
+    pytest.param(build_hamiltonian(ModelParams(96, coupling=1.0)), 96, id="chain-192"),
+])
+def test_jacobi_decomposes_with_partly_skipped_rounds(monkeypatch, a, width):
+    # some rounds keep only part of their width pairs: a round turns the pairs inside a
+    # block and skips those across, and the first sweep over the whole 2N = 192
+    # Hamiltonian at N = 96 skips the pairs with a_pq == 0
+    kept = []
+
+    def record(app, aqq, apq):
+        kept.append(len(apq))
+        return jacobi_rotation(app, aqq, apq)
+
+    monkeypatch.setattr(linalg, "jacobi_rotation", record)
+    assert_refined_decomposition(a)
+    assert any(0 < k < width for k in kept)
+
+
+@pytest.mark.parametrize("a", [
+    *(pytest.param([[x]], id=f"1x1-{x:g}") for x in (-3.5, 0.0, 1e-160, 1e150)),
+    *(pytest.param(np.zeros((n, n)), id=f"zeros-{n}") for n in range(1, 6)),
+])
+def test_jacobi_one_by_one_and_zero_matrices_are_exact(a):
+    # the convergence test passes before the first round, and _rayleigh_refine returns the
+    # diagonal: +0.0 for a zero matrix, which holds no nonzeros to sum.  1e-160 is near the
+    # smallest 1 x 1 entry whose norm does not underflow (1e-300 is refused, as at every size)
+    a = np.array(a, dtype=float)
+    w, v = assert_refined_decomposition(a)
+    assert w.tobytes() == np.diag(a).tobytes() and v.tobytes() == np.eye(len(a)).tobytes()
+
+
+def _tridiagonal(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+def test_tridiagonal_eigh_decomposes_random_matrices(n):
+    rng = np.random.default_rng(n)
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    w, v = tridiagonal_eigh(d[None], e[None])
+    assert w.shape == (1, n) and v.shape == (1, n, n)
+    w, v, t, tol = w[0], v[0], _tridiagonal(d, e), 16 * np.finfo(float).eps
+    assert np.all(np.diff(w) > 0)
+    assert np.abs(t @ v - v * w).max() <= tol * np.abs(t).sum(1).max()
+    assert np.abs(v.T @ v - np.eye(n)).max() <= tol
+
+
+def test_tridiagonal_eigh_solves_a_stack_as_one_call_per_matrix():
+    rng = np.random.default_rng(7)
+    d, e = rng.standard_normal((2, 40)), rng.standard_normal((2, 39))
+    d[1] *= 1e3
+    e[1] *= 1e-2
+    w, v = tridiagonal_eigh(d, e)
+    for k in range(2):
+        wk, vk = tridiagonal_eigh(d[k : k + 1], e[k : k + 1])
+        assert np.array_equal(w[k], wk[0]) and np.array_equal(v[k], vk[0])
+
+
+@pytest.mark.parametrize("n", [3, 101])
+def test_tridiagonal_eigh_finds_the_zero_mode_of_an_odd_chain(n):
+    # the centre mode of a chain with zero on-site energy has eigenvalue exactly 0, where a
+    # bisection midpoint or a pivot of T - w may be exactly 0 too
+    d, e = np.zeros(n), -np.ones(n - 1)
+    w, v = (x[0] for x in tridiagonal_eigh(d[None], e[None]))
+    assert abs(w[n // 2]) <= 2 * np.finfo(float).eps
+    exact = -2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+    assert np.abs(w - np.sort(exact)).max() <= 8 * np.finfo(float).eps
+    assert np.abs(_tridiagonal(d, e) @ v - v * w).max() <= 8 * np.finfo(float).eps
+    assert np.abs(v.T @ v - np.eye(n)).max() <= 8 * np.finfo(float).eps
+
+
+def test_tridiagonal_eigh_refuses_mismatched_or_infinite_entries():
+    for d, e in [(np.zeros((1, 3)), np.zeros((1, 3))), (np.zeros((1, 0)), np.zeros((1, 0))),
+                 (np.zeros(3), np.zeros(2)), (np.zeros((2, 3)), np.zeros((1, 2))),
+                 ([[1.0, np.inf]], [[1.0]]), ([[1.0, 2.0]], [[np.nan]])]:
+        with pytest.raises(ValueError, match=r"^expected finite \(m, n\) and \(m, n - 1\) arrays"):
+            tridiagonal_eigh(d, e)
 
 
 def test_evolution_phases_scalar_and_batch():
