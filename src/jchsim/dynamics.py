@@ -14,8 +14,7 @@ to sites), each with its own mode table:
   frequency.
 * DenseOraclePropagator -- exact, from the entries of ``build_hamiltonian``'s matrix,
   sharing no formulas with the analytic path beyond ``evolution_phases``: the photon
-  chain's two mirror sectors in one ``tridiagonal_eigh`` call, then one Jacobi rotation
-  per mode-atom pair.
+  chain in one ``tridiagonal_eigh`` call, then one Jacobi rotation per mode-atom pair.
 
 Every propagator takes only the ModelParams; the mode propagators build their own mode
 table and the dense oracle its own Hamiltonian.
@@ -101,42 +100,12 @@ class AnalyticPropagator:
         return np.concatenate([(m.a[0] * p[0] + m.a[1] * p[1]) @ v, atoms], axis=-1)
 
 
-def _chain_eigh(c: np.ndarray):
-    """Eigenpairs of a tridiagonal chain block c equal to its mirror x -> N+1-x, by sector.
-
-    Seat s of the chain's first half carries (e_s + sign e_m(s)) / sqrt(2) for its partner
-    m(s) in the mirror-even (sign +1) and mirror-odd (sign -1) sectors, and a centre site of
-    odd N, its own partner, carries e_s in the even sector alone; N >= 2 leaves neither empty.
-    Both sectors are tridiagonal, and one ``tridiagonal_eigh`` call solves them as a stack.
-    """
-    n = len(c)
-    mirror, size = np.arange(n)[::-1], (n + 1) // 2
-    sectors = [(np.arange(size), 1.0), (np.arange(n // 2), -1.0)]
-    # odd N leaves the odd sector a seat short; the seat it gains is cut off by a zero link at
-    # twice the largest row sum of |c|, above every eigenvalue, so its pair comes back last
-    d, e = np.full((2, size), 2.0 * np.abs(c).sum(1).max()), np.zeros((2, size - 1))
-    for k, (seats, sign) in enumerate(sectors):
-        # c[s, t] + sign c[s, m(t)] is the entry between two non-centre seats; the centre
-        # counts its site twice there, so it scales its row and column by 1/sqrt(2)
-        half = 0.5 * (seats == mirror[seats])
-        block = c[np.ix_(seats, seats)] + sign * c[np.ix_(seats, mirror[seats])]
-        block *= 0.5 ** np.add.outer(half, half)
-        d[k, : len(seats)], e[k, : len(seats) - 1] = block.diagonal(), block.diagonal(1)
-    w, v = tridiagonal_eigh(d, e)
-    u = np.zeros((n, 2, size))
-    for k, (seats, sign) in enumerate(sectors):
-        v_k = v[k, : len(seats)] * np.where(seats == mirror[seats], 1.0, np.sqrt(0.5))[:, None]
-        u[mirror[seats], k], u[seats, k] = sign * v_k, v_k
-    # the pair of an odd sector's extra seat is the last
-    return w.reshape(-1)[:n], u.reshape(n, -1)[:, :n]
-
-
 class DenseOraclePropagator:
     """Exact evolution from the entries of H = ``build_hamiltonian(params)``.
 
-    H is [[H_c, g I], [g I, w_a I]] with H_c equal to its mirror x -> N+1-x, so it commutes
-    with diag(H_c, H_c): H_c = V diag(lam) V^T is solved per mirror sector and one
-    ``jacobi_rotation`` turns each block [[lam_k, g], [g, w_a]], mapped back by diag(V, V).
+    H is [[H_c, g I], [g I, w_a I]], which commutes with diag(H_c, H_c): the tridiagonal
+    H_c = V diag(lam) V^T is solved by ``tridiagonal_eigh`` and one ``jacobi_rotation``
+    turns each block [[lam_k, g], [g, w_a]], mapped back by diag(V, V).
     The eigenvalues are the vectors' long-double Rayleigh quotients against H (double where
     the platform's long double is).
     """
@@ -144,7 +113,7 @@ class DenseOraclePropagator:
     def __init__(self, params: ModelParams):
         self.params = params
         h, n = build_hamiltonian(params), params.n_cavities
-        lam, v = _chain_eigh(h[:n, :n])
+        lam, v = tridiagonal_eigh(h[:n, :n].diagonal(), h[:n, :n].diagonal(1))
         with np.errstate(over="ignore"):  # g so small that theta overflows turns by (1, 0)
             c, s = jacobi_rotation(lam, h[n, n], h[n, 0])
         u = np.block([[v * c, v * s], [v * -s, v * c]])

@@ -1,8 +1,8 @@
 """Self-contained eigenvalue machinery used by the verification oracles.
 
 Two solvers live here, so that the oracles share no code with the closed-form
-physics they check.  The dense propagator solves the photon chain's two mirror
-sectors with ``tridiagonal_eigh``, O(n^2) by Sturm-count bisection and twisted
+physics they check.  The dense propagator solves the whole photon chain with
+``tridiagonal_eigh``, O(n^2) by Sturm-count multisection and twisted
 factorizations, and turns each mode-atom pair by one ``jacobi_rotation``.  The
 Wootters concurrence takes the eigenvalues of Hermitian 4x4 matrices through
 their real symmetric 8x8 forms with ``jacobi_eigh``, a round-robin Jacobi solver.
@@ -94,61 +94,67 @@ def jacobi_rotation(app, aqq, apq):
 
 
 def tridiagonal_eigh(d, e):
-    """Eigendecomposition of a stack of real symmetric tridiagonal matrices, O(n^2) each.
+    """Eigendecomposition of a real symmetric tridiagonal matrix, O(n^2) but for one QR.
 
-    Row k of ``d``, shape (m, n), is the diagonal of matrix k, and row k of ``e``, shape
-    (m, n - 1), its off-diagonal.  Every eigenvalue is bisected at once on Sturm counts
-    (Barth, Martin and Wilkinson, Numer. Math. 9, 1967) to eps times its matrix's
-    Gershgorin scale, each vector comes from one twisted factorization (Fernando, SIAM J.
-    Matrix Anal. Appl. 18, 1997), and one QR per matrix restores orthogonality.  A stack
-    gives the bits of one call per matrix.  The eigenvalues must be distinct, as they are
-    where no e is 0.  Returns (eigenvalues ascending, shape (m, n); eigenvectors as
-    columns, shape (m, n, n)).
+    ``d``, shape (n,), is its diagonal and ``e``, shape (n - 1,), its off-diagonal.  Every
+    eigenvalue is multisected at once on Sturm counts (Barth, Martin and Wilkinson, Numer.
+    Math. 9, 1967): each pass counts at ``_SECTIONS - 1`` points inside every bracket and
+    keeps the part that holds its eigenvalue, until the brackets are eps times the
+    Gershgorin scale wide.  Each vector comes from one twisted factorization (Fernando,
+    SIAM J. Matrix Anal. Appl. 18, 1997), and one QR restores orthogonality.  The
+    eigenvalues must be distinct, as they are where no e is 0.  Returns (eigenvalues
+    ascending, shape (n,); eigenvectors as columns, shape (n, n)).
     """
     d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
-    if (d.ndim != 2 or e.shape != (len(d), d.shape[1] - 1)
-            or not np.isfinite(np.append(d, e)).all()):
-        raise ValueError(f"expected finite (m, n) and (m, n - 1) arrays, got {d.shape}, {e.shape}")
-    n, tiny, eps = d.shape[1], np.finfo(float).tiny, np.finfo(float).eps
-    radius = np.pad(np.abs(e), ((0, 0), (1, 0))) + np.pad(np.abs(e), ((0, 0), (0, 1)))
-    lo = np.repeat((d - radius).min(1, keepdims=True), n, 1)
-    hi = np.repeat((d + radius).max(1, keepdims=True), n, 1)
-    scale = np.maximum(-lo[:, :1], hi[:, :1])
-    # components run along axis 0, eigenvalues along the last
-    diag, e2, pivmin = d.T[:, :, None], (e * e).T[:, :, None], np.maximum(eps * eps * scale, tiny)
-    while (active := hi - lo > np.maximum(eps * scale, tiny)).any():
-        mid = 0.5 * (lo + hi)
-        # the negative pivots of T - mid = L D L^T count the eigenvalues below mid
-        below = (_pivots(diag - mid, e2, pivmin) < 0.0).sum(0) > np.arange(n)
-        hi = np.where(active & below, mid, hi)
-        lo = np.where(active & ~below, mid, lo)
+    if d.ndim != 1 or e.shape != (len(d) - 1,) or not np.isfinite(np.append(d, e)).all():
+        raise ValueError(f"expected finite (n,) and (n - 1,) arrays, got {d.shape}, {e.shape}")
+    n, tiny, eps = len(d), np.finfo(float).tiny, np.finfo(float).eps
+    radius = np.pad(np.abs(e), (1, 0)) + np.pad(np.abs(e), (0, 1))
+    lo, hi = np.full(n, (d - radius).min()), np.full(n, (d + radius).max())
+    scale = max(-lo[0], hi[0])
+    e2, pivmin = e * e, max(eps * eps * scale, tiny)
+    fractions = np.arange(1, _SECTIONS)[:, None] / _SECTIONS
+    while (active := hi - lo > max(eps * scale, tiny)).any():
+        # brackets are parts of nested cuts of the first, so those with one lower end are
+        # the same bracket, side by side: its points are counted once
+        new = np.append(True, lo[1:] != lo[:-1])
+        x, bracket = lo[new] + fractions * (hi - lo)[new], np.cumsum(new) - 1
+        # the negative pivots of T - x = L D L^T count the eigenvalues below x; components
+        # run along axis 0, points along the next and brackets along the last
+        count = (_pivots(d, x, e2, pivmin) < 0.0).sum(0)
+        x, below = x[:, bracket], count[:, bracket] > np.arange(n)
+        hi = np.where(active, np.where(below, x, hi).min(0), hi)
+        lo = np.where(active, np.where(below, lo, x).max(0), lo)
     w = 0.5 * (lo + hi)
     # T - w = N_r D_r N_r^T twisted at the r with the smallest |gamma_r|, from the pivots
     # taken from the top (plus) and from the bottom (minus)
-    delta = diag - w
-    plus = _pivots(delta.copy(), e2, pivmin)
-    minus = _pivots(delta[::-1].copy(), e2[::-1], pivmin)[::-1]
-    twist = np.abs(plus + minus - delta).argmin(0)
+    plus, minus = _pivots(d, w, e2, pivmin), _pivots(d[::-1], w, e2[::-1], pivmin)[::-1]
+    twist = np.abs(plus + minus - np.subtract.outer(d, w)).argmin(0)
     # z_r = 1; z_i = -e_i z_(i+1) / plus_i above r and z_(i+1) = -e_i z_i / minus_(i+1) below
-    z, above = (np.arange(n)[:, None, None] == twist).astype(float), e.T[:, :, None]
+    z = (np.arange(n)[:, None] == twist).astype(float)
     for i in range(n - 2, -1, -1):
-        z[i] = np.where(i < twist, -above[i] * z[i + 1] / plus[i], z[i])
+        z[i] = np.where(i < twist, -e[i] * z[i + 1] / plus[i], z[i])
     for i in range(n - 1):
-        z[i + 1] = np.where(i >= twist, -above[i] * z[i] / minus[i + 1], z[i + 1])
-    z = z.transpose(1, 0, 2)
-    q, r = np.linalg.qr(z / np.linalg.norm(z, axis=1, keepdims=True))
+        z[i + 1] = np.where(i >= twist, -e[i] * z[i] / minus[i + 1], z[i + 1])
+    q, r = np.linalg.qr(z / np.linalg.norm(z, axis=0))
     # turned by the signs of R's diagonal, Q is the nearest to the twisted vectors
-    return w, q * np.where(np.diagonal(r, 0, 1, 2) < 0.0, -1.0, 1.0)[:, None, :]
+    return w, q * np.where(r.diagonal() < 0.0, -1.0, 1.0)
 
 
-def _pivots(delta, e2, pivmin):
-    """The pivots D of T - x = L D L^T from the top, in place of ``delta``, the diagonal of
-    T - x (T's squared off-diagonal is ``e2``); a pivot smaller than pivmin is -pivmin."""
-    for i in range(len(delta)):
+# a multisection pass cuts every bracket into this many parts
+_SECTIONS = 4
+
+
+def _pivots(d, x, e2, pivmin):
+    """The pivots D of T - x = L D L^T from the top, row i over every point x, for T of
+    diagonal ``d`` and squared off-diagonal ``e2``; a pivot smaller than pivmin is -pivmin."""
+    pivots = np.empty((len(d), *np.shape(x)))
+    for i, pivot in enumerate(pivots):
+        np.subtract(d[i], x, out=pivot)
         if i:
-            delta[i] -= e2[i - 1] / delta[i - 1]
-        np.copyto(delta[i], -pivmin, where=np.abs(delta[i]) < pivmin)
-    return delta
+            pivot -= e2[i - 1] / pivots[i - 1]
+        np.copyto(pivot, -pivmin, where=np.abs(pivot) < pivmin)
+    return pivots
 
 
 def _rayleigh_refine(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -21,13 +21,13 @@ CONFIGS = {
     "sweep.cfg": "n = 101\ng_list = 0.01,1,100\nsamples = 600\nt_max = 50\npairs = 45:57,50:52\n",
     "dense.cfg": "n = 48\ng = 2\nmethod = dense\nsamples = 600\nt_max = 30\npairs = 20:29,24:25\n",
     "dense96.cfg": "n = 96\ng = 1\nmethod = dense\nsamples = 600\nt_max = 30\npairs = 40:57,48:49\n",
-    # an odd N puts each chain's centre site in the dense oracle's mirror-even sector
+    # an odd N gives the chain a mode at exactly its cavity frequency, 0 here
     "dense47.cfg": "n = 47\ng = 1.5\nmethod = dense\nsamples = 600\nt_max = 30\npairs = 20:28,23:25\n",
     # g far above J: each mode-atom rotation mixes a photon mode with its atom half and half
     "dense12.cfg": "n = 12\ng = 1.3e8\nmethod = dense\nsamples = 600\nt_max = 7e-3\n",
     # g so small that a mode-atom rotation angle's theta overflows to inf: the identity
     "dense-tiny.cfg": "n = 9\ng = 1e-310\nmethod = dense\nsamples = 600\nt_max = 30\n",
-    # n = 3 at max|E| * t = 9.4e5, detuned: a 1 x 1 mirror-odd sector and one 2-row chunk
+    # n = 3 at max|E| * t = 9.4e5, detuned: a chain mode at exactly omega_c and one 2-row chunk
     "dense3.cfg": ("n = 3\ng = 2406446.6493437905\nomega_c = 2.7820912213109334\n"
                    "omega_a = 1.8812031391982682\nx0 = 3\nsamples = 2\n"
                    "t_max = 0.39176063335315314\npairs = 2:3\n"),

@@ -32,6 +32,20 @@ def test_main_exits_with_the_code_of_cli_main(tmp_path, monkeypatch, argv, code)
     assert [*tmp_path.iterdir()] == []
 
 
+@pytest.mark.parametrize("argv, code", [([], 1), (["modes", "--config", "run.cfg"], 0)],
+                         ids=["jchsim", "modes"])
+def test_python_m_jchsim_cli_exits_with_the_code_of_cli_main(tmp_path, argv, code):
+    # the module's __main__ line runs main, which hands cli_main's code to sys.exit
+    (tmp_path / "run.cfg").write_text("n = 5\ng = 0.5\n")
+    done = subprocess.run([sys.executable, "-m", "jchsim.cli", *argv], cwd=tmp_path,
+                          env=_fresh_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == code
+    if code:
+        assert done.stderr.startswith("error: ") and "usage: " in done.stderr
+    else:
+        assert done.stdout == "wrote modes.csv\n" and (tmp_path / "modes.csv").exists()
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert cli_main(["fig2", "--frobnicate"]) == 1
 
@@ -665,9 +679,13 @@ def test_importing_the_cli_loads_no_futures_logging_or_numpy_ma():
 
 def _fresh_python(code, *args):
     """The stdout lines of ``code`` run in a new interpreter that imports this checkout."""
+    done = subprocess.run([sys.executable, "-c", code, *args], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=300, check=True)
+    return done.stdout.splitlines()
+
+
+def _fresh_env():
+    """The environment of a new interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
-    return done.stdout.splitlines()
+    return {**os.environ, "PYTHONPATH": path}

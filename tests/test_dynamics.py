@@ -27,7 +27,7 @@ from jchsim.dynamics import (
 )
 from jchsim.entanglement import pair_concurrence
 from jchsim.experiments import FIG3_COUPLING, fig2_spec, fig4_grid
-from jchsim.linalg import _rayleigh_refine, evolution_phases, jacobi_eigh
+from jchsim.linalg import _rayleigh_refine, evolution_phases, jacobi_eigh, tridiagonal_eigh
 from jchsim.model import (MAX_ENERGY_TIME, ModelParams, build_hamiltonian, initial_atomic_excitation,
                           max_energy)
 from jchsim.spectral import mode_table
@@ -462,11 +462,11 @@ def test_jacobi_still_solves_entries_just_below_the_overflow():
 
 @pytest.mark.parametrize("n, omega_c", [
     *(pytest.param(n, -0.2, id=str(n)) for n in (2, 3, 8, 9, 16, 17)),
-    # at n = 3 the mirror-odd sector is the 1 x 1 matrix [[-0.0]]
+    # at n = 3 the chain's centre mode has eigenvalue exactly 0, on a diagonal of -0.0
     *(pytest.param(n, -0.0, id=f"{n}-omega_c-0") for n in (2, 3)),
 ])
-def test_dense_sectors_match_one_full_solve(n, omega_c):
-    # the two mirror sectors and the pair rotations against one Jacobi solve of the whole H
+def test_dense_chain_solve_matches_one_full_solve(n, omega_c):
+    # the chain solve and the pair rotations against one Jacobi solve of the whole H
     params = ModelParams(n, coupling=1.3, cavity_freq=omega_c, atom_freq=0.37)
     h = build_hamiltonian(params)
     dense = DenseOraclePropagator(params)
@@ -489,7 +489,7 @@ def test_dense_oracle_rotations_match_the_seated_pair_solve(n, model):
     # same bits, up to the order of columns with exactly equal eigenvalues (n = 2, g = 0)
     params = ModelParams(n, **model)
     h = build_hamiltonian(params)
-    lam, v = dynamics._chain_eigh(h[:n, :n])
+    lam, v = tridiagonal_eigh(h[:n, :n].diagonal(), h[:n, :n].diagonal(1))
     k = np.arange(n)
     pairs = np.zeros_like(h)
     pairs[k, k], pairs[~k, ~k], pairs[k, ~k], pairs[~k, k] = lam, h[n, n], h[n, 0], h[n, 0]

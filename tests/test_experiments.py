@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -236,6 +237,35 @@ def test_the_blas_pin_finds_the_thread_symbols_of_numpys_scipy_openblas():
     if blas != "scipy-openblas":
         pytest.skip(f"numpy is built against {blas}, which the BLAS pin leaves as is")
     assert experiments._openblas_threads() is not None
+
+
+def test_worker_count_falls_back_to_the_cpu_count_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, expected in [(os.cpu_count(), os.cpu_count() or 1), (None, 1)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert experiments.worker_count() == expected
+
+
+class _NoOpenBLAS:
+    """A loaded extension that exports no scipy-openblas symbol."""
+
+
+def test_another_blas_has_no_thread_count_and_is_left_as_is(monkeypatch):
+    threads = experiments._openblas_threads()
+    get, put = threads or (lambda: None, lambda count: None)
+    old = get()
+    monkeypatch.setattr(experiments.ctypes, "CDLL", lambda path: _NoOpenBLAS())
+    experiments._openblas_threads.cache_clear()
+    try:
+        assert experiments._openblas_threads() is None
+        put(2)  # numpy's own OpenBLAS, where there is one, stays at 2 where a pin would set 1
+        with experiments.one_blas_thread():
+            inside = get()
+        assert inside == (2 if threads else None)
+    finally:
+        put(old)
+        monkeypatch.undo()
+        experiments._openblas_threads.cache_clear()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

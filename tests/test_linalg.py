@@ -177,31 +177,20 @@ def _tridiagonal(d, e):
 def test_tridiagonal_eigh_decomposes_random_matrices(n):
     rng = np.random.default_rng(n)
     d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
-    w, v = tridiagonal_eigh(d[None], e[None])
-    assert w.shape == (1, n) and v.shape == (1, n, n)
-    w, v, t, tol = w[0], v[0], _tridiagonal(d, e), 16 * np.finfo(float).eps
+    w, v = tridiagonal_eigh(d, e)
+    assert w.shape == (n,) and v.shape == (n, n)
+    t, tol = _tridiagonal(d, e), 16 * np.finfo(float).eps
     assert np.all(np.diff(w) > 0)
     assert np.abs(t @ v - v * w).max() <= tol * np.abs(t).sum(1).max()
     assert np.abs(v.T @ v - np.eye(n)).max() <= tol
 
 
-def test_tridiagonal_eigh_solves_a_stack_as_one_call_per_matrix():
-    rng = np.random.default_rng(7)
-    d, e = rng.standard_normal((2, 40)), rng.standard_normal((2, 39))
-    d[1] *= 1e3
-    e[1] *= 1e-2
-    w, v = tridiagonal_eigh(d, e)
-    for k in range(2):
-        wk, vk = tridiagonal_eigh(d[k : k + 1], e[k : k + 1])
-        assert np.array_equal(w[k], wk[0]) and np.array_equal(v[k], vk[0])
-
-
 @pytest.mark.parametrize("n", [3, 101])
 def test_tridiagonal_eigh_finds_the_zero_mode_of_an_odd_chain(n):
     # the centre mode of a chain with zero on-site energy has eigenvalue exactly 0, where a
-    # bisection midpoint or a pivot of T - w may be exactly 0 too
+    # multisection point or a pivot of T - w may be exactly 0 too
     d, e = np.zeros(n), -np.ones(n - 1)
-    w, v = (x[0] for x in tridiagonal_eigh(d[None], e[None]))
+    w, v = tridiagonal_eigh(d, e)
     assert abs(w[n // 2]) <= 2 * np.finfo(float).eps
     exact = -2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
     assert np.abs(w - np.sort(exact)).max() <= 8 * np.finfo(float).eps
@@ -209,11 +198,26 @@ def test_tridiagonal_eigh_finds_the_zero_mode_of_an_odd_chain(n):
     assert np.abs(v.T @ v - np.eye(n)).max() <= 8 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("n", [2, 3, 96, 1001])
+@pytest.mark.parametrize("omega_c", [-0.2, -0.0])
+def test_tridiagonal_eigh_multisects_the_uniform_chain_to_its_closed_form(n, omega_c):
+    # the photon block of H, against omega_c - 2J cos(pi m / (N + 1)) at 40 digits; every
+    # bracket is cut into quarters down to eps times the Gershgorin scale |omega_c| + 2J
+    mpmath = pytest.importorskip("mpmath")
+    h = build_hamiltonian(ModelParams(n, coupling=1.0, cavity_freq=omega_c))[:n, :n]
+    w, _ = tridiagonal_eigh(h.diagonal(), h.diagonal(1))
+    with mpmath.workdps(40):
+        exact = [omega_c - 2 * mpmath.cos(mpmath.pi * m / (n + 1)) for m in range(1, n + 1)]
+        error = max(abs(mpmath.mpf(float(x)) - y) for x, y in zip(w, exact))
+    assert np.all(np.diff(w) > 0)
+    assert error <= 4 * np.finfo(float).eps * (abs(omega_c) + 2.0)
+
+
 def test_tridiagonal_eigh_refuses_mismatched_or_infinite_entries():
-    for d, e in [(np.zeros((1, 3)), np.zeros((1, 3))), (np.zeros((1, 0)), np.zeros((1, 0))),
-                 (np.zeros(3), np.zeros(2)), (np.zeros((2, 3)), np.zeros((1, 2))),
-                 ([[1.0, np.inf]], [[1.0]]), ([[1.0, 2.0]], [[np.nan]])]:
-        with pytest.raises(ValueError, match=r"^expected finite \(m, n\) and \(m, n - 1\) arrays"):
+    for d, e in [(np.zeros(3), np.zeros(3)), (np.zeros(0), np.zeros(0)),
+                 (np.zeros((1, 3)), np.zeros((1, 2))), (np.zeros((2, 3)), np.zeros((1, 2))),
+                 ([1.0, np.inf], [1.0]), ([1.0, 2.0], [np.nan])]:
+        with pytest.raises(ValueError, match=r"^expected finite \(n,\) and \(n - 1,\) arrays"):
             tridiagonal_eigh(d, e)
 
 
