@@ -9,7 +9,6 @@ from .dynamics import (
     make_propagator,
     validity,
 )
-from .entanglement import concurrence_wootters_oracle, reduce_to_pair
 from .experiments import ExperimentSpec, run_fig2, run_fig3, run_fig4, run_sweep
 from .model import ModelParams, build_hamiltonian, initial_atomic_excitation
 from .spectral import ModeTable, mode_table
@@ -24,11 +23,9 @@ __all__ = [
     "TimeGrid",
     "WeakCouplingPropagator",
     "build_hamiltonian",
-    "concurrence_wootters_oracle",
     "initial_atomic_excitation",
     "make_propagator",
     "mode_table",
-    "reduce_to_pair",
     "run_fig2",
     "run_fig3",
     "run_fig4",

@@ -1,13 +1,13 @@
 """Self-contained eigenvalue machinery used by the verification oracles.
 
-Two solvers live here, so that the oracles share no code with the closed-form
-physics they check.  The dense propagator solves the whole photon chain with
-``tridiagonal_eigh``, O(n^2) by Sturm-count multisection and twisted
-factorizations, and turns each mode-atom pair by one ``jacobi_rotation``.  The
-Wootters concurrence takes the eigenvalues of Hermitian 4x4 matrices through
-their real symmetric 8x8 forms with ``jacobi_eigh``, a round-robin Jacobi solver.
-Neither calls a LAPACK eigen-routine (``numpy.linalg.eig*``): the oracles are
-meant to stay independent of the library solvers they may be compared with.
+The dense propagator solves the whole photon chain with ``tridiagonal_eigh``,
+O(n^2) by Sturm-count multisection and twisted factorizations, and turns each
+mode-atom pair by one ``jacobi_rotation``, so that it shares no code with the
+closed-form physics it checks.  ``jacobi_eigh``, a round-robin Jacobi solver, is
+the tests' reference solver, and the Wootters oracle in ``tests/wootters_reference.py``
+takes its eigenvalues with it; no CLI command runs it.  Neither solver calls a LAPACK
+eigen-routine (``numpy.linalg.eig*``): the oracles are meant to stay independent of
+the library solvers they may be compared with.
 """
 
 import numpy as np
@@ -33,6 +33,8 @@ def jacobi_eigh(a: np.ndarray):
     finite (entries from about 1.3e154) or that underflows to 0 for a nonzero
     matrix (entries below about 1.6e-162): either would pass the convergence test
     at once.  Raises ConvergenceError if ``_JACOBI_MAX_SWEEPS`` sweeps do not converge.
+    The tests' reference solver: it stays in the package only because the benchmark
+    tracer looks it up by name, as ``jchsim.dynamics.jacobi_eigh``.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

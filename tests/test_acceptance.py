@@ -11,16 +11,12 @@ import numpy as np
 
 from effective_reference import build_polariton_hamiltonian, strong_coupling_amplitudes
 from jchsim.dynamics import AnalyticPropagator, DenseOraclePropagator
-from jchsim.entanglement import (
-    binary_entropy,
-    concurrence_map,
-    concurrence_wootters_oracle,
-    reduce_to_pair,
-)
+from jchsim.entanglement import binary_entropy, concurrence_map
 from jchsim.experiments import run_fig2, run_fig4
 from jchsim.linalg import jacobi_eigh
 from jchsim.model import ModelParams, build_hamiltonian, initial_atomic_excitation
 from jchsim.spectral import mode_table
+from wootters_reference import concurrence_wootters_oracle, reduce_to_pair
 
 
 def report(tag, name, ok, detail):

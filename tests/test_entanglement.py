@@ -6,12 +6,11 @@ from jchsim.entanglement import (
     atomic_amplitudes,
     binary_entropy,
     concurrence_map,
-    concurrence_wootters_oracle,
     pair_concurrence,
-    reduce_to_pair,
     running_max_map,
 )
 from jchsim.model import ModelParams, initial_atomic_excitation
+from wootters_reference import concurrence_wootters_oracle, reduce_to_pair
 
 
 def random_state(rng, n):

@@ -199,6 +199,13 @@ def test_a_spec_runs_without_a_name():
     assert_same_series(compute_series(spec), compute_series(small_spec()))
 
 
+def test_run_one_returns_the_series_or_the_exception_it_raised():
+    assert_same_series(experiments.run_one(small_spec()), compute_series(small_spec()))
+    error = experiments.run_one(small_spec(method="magic"))
+    assert isinstance(error, ValueError)
+    assert str(error) == "unknown propagation method 'magic'"
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_matches_each_spec_alone(monkeypatch, workers):
     specs = _mixed_specs()

@@ -1,14 +1,17 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jchsim import dynamics, entanglement, linalg, spectral
+import wootters_reference
+from jchsim import dynamics, linalg, spectral
 from jchsim.dynamics import DenseOraclePropagator, make_propagator
-from jchsim.entanglement import concurrence_wootters_oracle, reduce_to_pair
 from jchsim.linalg import (ConvergenceError, evolution_phases, jacobi_eigh, jacobi_rotation,
                            tridiagonal_eigh)
 from jchsim.model import ModelParams, build_hamiltonian, initial_atomic_excitation
+from wootters_reference import concurrence_wootters_oracle, reduce_to_pair
 
 
 def test_jacobi_diagonal_input():
@@ -123,7 +126,7 @@ def test_jacobi_decomposes_the_wootters_real_forms(monkeypatch):
         seen.append(np.array(a, dtype=float))
         return jacobi_eigh(a)
 
-    monkeypatch.setattr(entanglement, "jacobi_eigh", record)
+    monkeypatch.setattr(wootters_reference, "jacobi_eigh", record)
     rng = np.random.default_rng(11)
     for n in (2, 5, 12):
         state = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
@@ -279,3 +282,10 @@ def test_oracles_share_no_formula_with_the_analytic_path(monkeypatch):
     assert guarded_states.tobytes() == states.tobytes()
     assert np.array(guarded_concurrences).tobytes() == np.array(concurrences).tobytes()
     assert 0.0 < max(concurrences) < 1.0
+    # the Wootters reference lives in tests/, and the rule holds there too: it reaches the
+    # package only through the eigensolver and the integer check, never the analytic path
+    tree = ast.parse(Path(wootters_reference.__file__).read_text(encoding="utf-8"))
+    sources = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    sources |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert {s for s in sources if s.split(".")[0] == "jchsim"} == {"jchsim.linalg", "jchsim.model"}

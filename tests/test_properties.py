@@ -12,8 +12,9 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from jchsim.dynamics import make_propagator
-from jchsim.entanglement import concurrence_wootters_oracle, max_concurrence_map, reduce_to_pair
+from jchsim.entanglement import max_concurrence_map
 from jchsim.model import MAX_ENERGY_TIME, ModelParams, initial_atomic_excitation, max_energy
+from wootters_reference import concurrence_wootters_oracle, reduce_to_pair
 
 EXACT = ("analytic", "dense")
 
