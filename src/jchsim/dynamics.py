@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import _rayleigh_refine, evolution_phases, jacobi_rotation, tridiagonal_eigh
+from .linalg import evolution_phases, jacobi_rotation, tridiagonal_eigh
 from .linalg import jacobi_eigh  # unused here: the benchmark tracer resolves it by this name
 from .model import ModelParams, build_hamiltonian, check_integers
 from .spectral import BRANCH_SIGNS, ModeTable, mode_table, sine_modes
@@ -107,17 +107,28 @@ class DenseOraclePropagator:
     H_c = V diag(lam) V^T is solved by ``tridiagonal_eigh`` and one ``jacobi_rotation``
     turns each block [[lam_k, g], [g, w_a]], mapped back by diag(V, V).
     The eigenvalues are the vectors' long-double Rayleigh quotients against H (double where
-    the platform's long double is).
+    the platform's long double is), with H U summed from the entries of H_c, g and w_a.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
         h, n = build_hamiltonian(params), params.n_cavities
-        lam, v = tridiagonal_eigh(h[:n, :n].diagonal(), h[:n, :n].diagonal(1))
+        d, e, g, w_a = h[:n, :n].diagonal(), h[:n, :n].diagonal(1), h[n, 0], h[n, n]
+        lam, v = tridiagonal_eigh(d, e)
         with np.errstate(over="ignore"):  # g so small that theta overflows turns by (1, 0)
-            c, s = jacobi_rotation(lam, h[n, n], h[n, 0])
+            c, s = jacobi_rotation(lam, w_a, g)
         u = np.block([[v * c, v * s], [v * -s, v * c]])
-        w = _rayleigh_refine(h, u)
+        # a Rayleigh quotient's error is the square of its vector's (Parlett, ch. 4), and
+        # phases E t amplify it: H U is summed in long double, each photon row from +0 in
+        # ascending column order, e x[i-1] + d x[i] + e x[i+1] + g y[i]
+        ul = u.astype(np.longdouble)
+        x, y, hu = ul[:n], ul[n:], np.zeros_like(ul)
+        hu[1:n] += e[:, None] * x[:-1]
+        hu[:n] += d[:, None] * x
+        hu[:n - 1] += e[:, None] * x[1:]
+        hu[:n] += g * y
+        hu[n:] = g * x + w_a * y
+        w = np.einsum("ij,ij->j", ul, hu) / np.einsum("ij,ij->j", ul, ul)
         order = np.argsort(w, kind="stable")
         # take gives C order: evolve's matrix products round by layout
         self.eigenvalues, self.eigenvectors = w[order], u.take(order, 1)

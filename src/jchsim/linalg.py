@@ -5,9 +5,10 @@ O(n^2) by Sturm-count multisection and twisted factorizations, and turns each
 mode-atom pair by one ``jacobi_rotation``, so that it shares no code with the
 closed-form physics it checks.  ``jacobi_eigh``, a round-robin Jacobi solver, is
 the tests' reference solver, and the Wootters oracle in ``tests/wootters_reference.py``
-takes its eigenvalues with it; no CLI command runs it.  Neither solver calls a LAPACK
-eigen-routine (``numpy.linalg.eig*``): the oracles are meant to stay independent of
-the library solvers they may be compared with.
+takes its eigenvalues with it; no CLI command runs it.  Both oracles' eigenvalues are
+their vectors' long-double Rayleigh quotients against the matrix.  Neither solver calls
+a LAPACK eigen-routine (``numpy.linalg.eig*``): the oracles are meant to stay independent
+of the library solvers they may be compared with.
 """
 
 import numpy as np
@@ -29,7 +30,8 @@ def jacobi_eigh(a: np.ndarray):
     row, column and eigenvector update applies a round's kept pairs at once.
     Sweeps repeat until the off-diagonal Frobenius norm drops below ``_JACOBI_TOL``
     relative to the matrix norm.  Returns (eigenvalues ascending, eigenvectors as
-    columns).  Raises ValueError for an empty matrix, and for a norm that is not
+    columns); each eigenvalue is its vector's Rayleigh quotient against ``a``, formed
+    as the plain long-double product and rounded to double.  Raises ValueError for an empty matrix, and for a norm that is not
     finite (entries from about 1.3e154) or that underflows to 0 for a nonzero
     matrix (entries below about 1.6e-162): either would pass the convergence test
     at once.  Raises ConvergenceError if ``_JACOBI_MAX_SWEEPS`` sweeps do not converge.
@@ -62,7 +64,11 @@ def jacobi_eigh(a: np.ndarray):
     rounds = [tuple(pq[:, pq[1] < n]) for pq in pairs]
     for _ in range(_JACOBI_MAX_SWEEPS):
         if np.linalg.norm(a - np.diag(np.diag(a))) <= _JACOBI_TOL * scale:
-            w = _rayleigh_refine(original, vecs).astype(float)
+            # the rotation cascade leaves the diagonal about sqrt(rotations) eps ||A|| off; a
+            # Rayleigh quotient's error is the square of its vector's (Parlett, ch. 4)
+            vl = vecs.astype(np.longdouble, order="C")  # the sums round by layout
+            av = original.astype(np.longdouble) @ vl
+            w = (np.einsum("ij,ij->j", vl, av) / np.einsum("ij,ij->j", vl, vl)).astype(float)
             order = np.argsort(w, kind="stable")
             return w[order], vecs[:, order]
         for p, q in rounds:
@@ -157,32 +163,6 @@ def _pivots(d, x, e2, pivmin):
             pivot -= e2[i - 1] / pivots[i - 1]
         np.copyto(pivot, -pivmin, where=np.abs(pivot) < pivmin)
     return pivots
-
-
-def _rayleigh_refine(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Rayleigh quotients of the eigenvector columns against a, in long double.
-
-    The rotation cascade leaves the diagonal with an O(sqrt(rotations) * eps *
-    ||A||) error, which propagation phases E*t amplify; recomputing against the
-    untouched input matrix in long double removes the accumulation.  A quotient's
-    error is the square of its vector's (Parlett, ch. 4), so it is kept in long double.
-
-    A v sums each row's nonzero terms in ascending column order from +0: the sum
-    that numpy's long-double matmul (which has no BLAS path) forms over every
-    column, as a zero term never changes a partial sum that starts at +0.  Rows
-    with fewer nonzeros are padded with 0 * v[0], which adds such a zero term.
-    """
-    vl = vecs.astype(np.longdouble, order="C")  # the sums round by layout, not column order
-    rows, cols = np.nonzero(a)  # in row-major order
-    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)  # place within its row
-    # row i's k-th nonzero and its column at [k, i]
-    values = np.zeros((rank.max(initial=-1) + 1, len(a)), dtype=np.longdouble)
-    columns = np.zeros(values.shape, dtype=np.intp)
-    values[rank, rows], columns[rank, rows] = a[rows, cols], cols
-    av = np.zeros_like(vl)
-    for value, column in zip(values, columns):
-        av += value[:, None] * vl[column]
-    return np.einsum("ij,ij->j", vl, av) / np.einsum("ij,ij->j", vl, vl)
 
 
 def evolution_phases(energies: np.ndarray, t: float) -> np.ndarray:

@@ -26,10 +26,28 @@ MUTANTS = [
      "count[:, bracket] >= np.arange(n)",
      "tests/test_linalg.py::test_tridiagonal_eigh_multisects_the_uniform_chain_to_its_closed_form[-0.2-96]"),
     # the dense eigenvalues' Rayleigh quotients in double instead of long double
-    ("src/jchsim/linalg.py",
-     'vl = vecs.astype(np.longdouble, order="C")',
-     'vl = vecs.astype(float, order="C")',
+    ("src/jchsim/dynamics.py",
+     "ul = u.astype(np.longdouble)",
+     "ul = u.astype(float)",
      "tests/test_dynamics.py::test_dense_decides_c_3_4_where_analytic_strays_on_a_resonant_chain"),
+    # the dense oracle's photon rows sum g y[i] first, out of ascending column order
+    ("src/jchsim/dynamics.py",
+     "        hu[1:n] += e[:, None] * x[:-1]\n"
+     "        hu[:n] += d[:, None] * x\n"
+     "        hu[:n - 1] += e[:, None] * x[1:]\n"
+     "        hu[:n] += g * y\n",
+     "        hu[:n] += g * y\n"
+     "        hu[1:n] += e[:, None] * x[:-1]\n"
+     "        hu[:n] += d[:, None] * x\n"
+     "        hu[:n - 1] += e[:, None] * x[1:]\n",
+     "tests/test_dynamics.py::test_dense_eigenvalues_are_long_double_rayleigh_quotients[odd-47]"),
+    # Jacobi's Rayleigh quotients in double instead of long double
+    ("src/jchsim/linalg.py",
+     'vl = vecs.astype(np.longdouble, order="C")  # the sums round by layout\n'
+     "            av = original.astype(np.longdouble) @ vl\n",
+     'vl = vecs.astype(float, order="C")\n'
+     "            av = original @ vl\n",
+     "tests/test_linalg.py::test_jacobi_decomposes_the_wootters_real_forms"),
     # the pair rotation's overflow warning at vanishing g let through
     ("src/jchsim/dynamics.py",
      'with np.errstate(over="ignore"):',

@@ -27,10 +27,11 @@ from jchsim.dynamics import (
 )
 from jchsim.entanglement import pair_concurrence
 from jchsim.experiments import FIG3_COUPLING, fig2_spec, fig4_grid
-from jchsim.linalg import _rayleigh_refine, evolution_phases, jacobi_eigh, tridiagonal_eigh
+from jchsim.linalg import evolution_phases, jacobi_eigh, tridiagonal_eigh
 from jchsim.model import (MAX_ENERGY_TIME, ModelParams, build_hamiltonian, initial_atomic_excitation,
                           max_energy)
 from jchsim.spectral import mode_table
+from test_linalg import _whole_matrix_quotients
 
 
 def test_time_grid_validation():
@@ -533,12 +534,21 @@ def test_evolve_refuses_a_state_of_the_wrong_shape(method, shape):
 
 @pytest.mark.parametrize("params", [
     pytest.param(ModelParams(9, coupling=1.3, atom_freq=0.37), id="pairs"),
+    pytest.param(ModelParams(2, coupling=1.0), id="two-sites"),
+    pytest.param(ModelParams(3), id="uncoupled"),
+    pytest.param(ModelParams(47, coupling=1.5, atom_freq=0.3), id="odd-47"),
+    pytest.param(ModelParams(16, coupling=0.8, cavity_freq=0.3, atom_freq=-1.1), id="detuned"),
+    pytest.param(ModelParams(9, coupling=1e-310), id="subnormal-g"),
+    pytest.param(ModelParams(12, coupling=1.3e8), id="g-dwarfs-j"),
+    pytest.param(ModelParams(96, coupling=1.0), id="oracle-96"),
 ])
 def test_dense_eigenvalues_are_long_double_rayleigh_quotients(params):
+    # the oracle sums H U from H's entries; a photon row summed out of ascending column
+    # order moves a last bit on the odd-47, detuned and g-dwarfs-j models
     h = build_hamiltonian(params)
     dense = DenseOraclePropagator(params)
     assert dense.eigenvalues.dtype == np.longdouble
-    assert np.array_equal(dense.eigenvalues, _rayleigh_refine(h, dense.eigenvectors))
+    assert np.array_equal(dense.eigenvalues, _whole_matrix_quotients(h, dense.eigenvectors))
     assert np.all(np.diff(dense.eigenvalues) >= 0)
 
 

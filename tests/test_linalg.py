@@ -58,9 +58,10 @@ def test_jacobi_zero_matrix():
 
 def _whole_matrix_quotients(a, v):
     # the long-double Rayleigh quotients of v's columns as numpy's long-double matmul forms
-    # them over the whole of a, zeros included
-    al, vl = a.astype(np.longdouble), v.astype(np.longdouble)
-    return (np.einsum("ij,ij->j", vl, al @ vl) / np.einsum("ij,ij->j", vl, vl)).astype(float)
+    # them over the whole of a, zeros included; test_dynamics checks the dense oracle's too.
+    # einsum's sums round by layout, so v is cast to C order, as both solvers cast it
+    al, vl = a.astype(np.longdouble), v.astype(np.longdouble, order="C")
+    return np.einsum("ij,ij->j", vl, al @ vl) / np.einsum("ij,ij->j", vl, vl)
 
 
 def assert_refined_decomposition(a):
@@ -72,10 +73,9 @@ def assert_refined_decomposition(a):
     assert np.all(np.diff(w) >= 0)
     assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-12
     assert np.abs(a @ v - v * w).max() <= 1e-12 * scale
-    # refined, each eigenvalue is its vector's long-double Rayleigh quotient rounded to
-    # double; the Jacobi diagonal itself sits about sqrt(rotations) eps ||A|| away
-    q = _whole_matrix_quotients(a, v)
-    assert np.all(np.abs(w - q) <= np.spacing(np.abs(q)))
+    # each eigenvalue is its vector's long-double Rayleigh quotient rounded to double, to
+    # the bit; the Jacobi diagonal itself sits about sqrt(rotations) eps ||A|| away
+    assert np.array_equal(w, _whole_matrix_quotients(a, v).astype(float))
     return w, v
 
 
@@ -108,8 +108,8 @@ def _two_uncoupled_blocks():
     *(pytest.param(_symmetric(n, 100 + n), id=f"random-{n}") for n in (1, 2, 3, 7, 8, 31)),
     # an odd size, so one index sits out each round
     pytest.param(_symmetric(101, 101), id="random-101"),
-    # this matrix's refined eigenvalues move in the last place when _rayleigh_refine is
-    # handed the eigenvectors as a transposed view rather than as a C-ordered array
+    # this matrix's refined eigenvalues move in the last place when the quotients are
+    # summed over the eigenvectors as a transposed view rather than as a C-ordered array
     pytest.param(_symmetric(64, 5), id="layout-sensitive"),
     pytest.param(_real_form_with_negative_zeros(), id="negative-zeros"),
 ])
@@ -164,8 +164,8 @@ def test_jacobi_decomposes_with_partly_skipped_rounds(monkeypatch, a, width):
     *(pytest.param(np.zeros((n, n)), id=f"zeros-{n}") for n in range(1, 6)),
 ])
 def test_jacobi_one_by_one_and_zero_matrices_are_exact(a):
-    # the convergence test passes before the first round, and _rayleigh_refine returns the
-    # diagonal: +0.0 for a zero matrix, which holds no nonzeros to sum.  1e-160 is near the
+    # the convergence test passes before the first round, and the quotients return the
+    # diagonal: +0.0 for a zero matrix, whose sums are all of +0 terms.  1e-160 is near the
     # smallest 1 x 1 entry whose norm does not underflow (1e-300 is refused, as at every size)
     a = np.array(a, dtype=float)
     w, v = assert_refined_decomposition(a)
